@@ -13,6 +13,8 @@ Exit codes: 0 ok, 1 usage error, 2 I/O error, 3 stability violation.
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -20,22 +22,21 @@ from typing import Optional
 import numpy as np
 
 from .blocks import chain, make_diffusion_block
-from .diffusion import StepSizeMode, diffuse, explicit_step, max_stable_tau
+from .diffusion import StepSizeMode, _evolve, _lipschitz, diffuse, max_stable_tau
+from .diffusion import explicit_step  # noqa: F401  traced by name (bench/tracing.py)
 from .nonlinearities import (
     CouplingParams,
     Family,
     FamilySpec,
     Role,
-    estimate_lipschitz,
     make_role_function,
     translate,
 )
+from .nonlinearities import estimate_lipschitz  # noqa: F401  traced by name (bench/tracing.py)
 from .shrinkage import iterate_shrinkage
-from .signals import Signal1D, _fdiff
+from .signals import Signal1D
 from .stability import analyze
 from .variational import EnergySpec, minimize_by_diffusion
-
-_LIPSCHITZ_SAMPLES = 200_001
 
 _METHODS = ("diffusion", "wavelet", "variational", "resnet")
 
@@ -92,6 +93,9 @@ class RunConfig:
             raise UsageError("give exactly one of stopping time and step count")
         if self.noise.kind != "none" and self.seed is None:
             raise UsageError("a seed is mandatory when noise is added")
+        least = 1 if self.method == "variational" else 0
+        if self.steps is not None and self.steps < least:
+            raise UsageError(f"{self.method} needs --steps >= {least}, got {self.steps}")
 
 
 def generate_signal(kind: str, n: int, params=None, seed=None) -> Signal1D:
@@ -184,50 +188,35 @@ def _denoise_signal(config: RunConfig, f: Signal1D):
     spec = config.family
     phi = make_role_function(spec, Role.ACTIVATION)
     tau = config.coupling.tau
-    h = f.h
+    m = config.steps
 
-    if config.method == "diffusion":
-        if config.stopping_time is not None:
-            out, plan = diffuse(f, phi, config.stopping_time, config.mode)
-            return out, phi, plan.tau, plan.steps
-        _check_tau(phi, f, tau, config.mode)
-        out = f
-        for _ in range(config.steps):
-            out = explicit_step(out, phi, tau)
-        return out, phi, tau, config.steps
-
-    if config.steps is None:
-        raise UsageError(f"method {config.method!r} needs --steps, not --time")
+    if config.stopping_time is not None:
+        if config.method != "diffusion":
+            raise UsageError(f"method {config.method!r} needs --steps, not --time")
+        out, plan = diffuse(f, phi, config.stopping_time, config.mode)
+        return out, phi, plan.tau, plan.steps
 
     if config.method == "wavelet":
         shrink = translate(phi, Role.SHRINKAGE, config.coupling)
-        out = iterate_shrinkage(f, shrink, config.steps)
-        return out, phi, tau, config.steps
+        return iterate_shrinkage(f, shrink, m), phi, tau, m
 
     if config.method == "variational":
         psi = make_role_function(spec, Role.REGULARISER)
-        alpha = config.steps * tau
         try:
-            out = minimize_by_diffusion(f, EnergySpec(psi=psi, alpha=alpha), config.steps)
+            out = minimize_by_diffusion(f, EnergySpec(psi=psi, alpha=m * tau), m)
         except ValueError as exc:
             raise StabilityViolation(str(exc)) from None
-        return out, phi, tau, config.steps
+        return out, phi, tau, m
 
-    # resnet
-    _check_tau(phi, f, tau, config.mode)
-    block = make_diffusion_block(phi, tau, h)
-    out = chain([block] * config.steps, f)
-    return out, phi, tau, config.steps
-
-
-def _check_tau(phi, f, tau, mode):
-    grad = 2.0 * float(np.max(np.abs(_fdiff(f.values, f.h)))) or 1.0
-    L = estimate_lipschitz(phi, grad, _LIPSCHITZ_SAMPLES)
-    bound = max_stable_tau(L, f.h, mode)
+    L = _lipschitz(phi, f)
+    bound = max_stable_tau(L, f.h, config.mode)
     if tau > bound:
         raise StabilityViolation(
-            f"tau = {tau:g} violates the {mode.value} bound {bound:g} (L = {L:g})"
+            f"tau = {tau:g} violates the {config.mode.value} bound {bound:g} (L = {L:g})"
         )
+    if config.method == "diffusion":
+        return Signal1D._wrap(_evolve(f.values, phi, tau, m, f.h), f.h), phi, tau, m
+    return chain([make_diffusion_block(phi, tau, f.h)] * m, f), phi, tau, m
 
 
 def run(config: RunConfig) -> int:
@@ -285,8 +274,10 @@ def _cmd_translate(args):
         dst,
         CouplingParams(tau=args.tau, alpha=args.alpha, h=1.0),
     )
-    for s in args.at.split(","):
-        r = float(s)
+    points = [float(s) for s in args.at.split(",")]
+    if not all(map(math.isfinite, points)):
+        raise UsageError(f"evaluation points must be finite, got {args.at!r}")
+    for r in points:
         print(f"{fn(r):.17g}")
     return 0
 
@@ -310,32 +301,17 @@ def _cmd_stability(args):
 
 def _cmd_compare(args):
     """All four methods under equivalent parameters; reports max deltas."""
-    import os
-
     spec = _family_spec(args)
     f = read_signal_csv(args.input)
     if f.h != 1.0:
         raise UsageError("compare requires grid size h = 1 (wavelet pairing)")
-    tau = args.tau
-    m = args.steps
-    coupling = CouplingParams(tau=tau, alpha=tau, h=1.0)
-    phi = make_role_function(spec, Role.ACTIVATION)
-    _check_tau(phi, f, tau, StepSizeMode.MAXMIN)
-
-    out_diffusion = f
-    for _ in range(m):
-        out_diffusion = explicit_step(out_diffusion, phi, tau)
-    out_wavelet = iterate_shrinkage(f, translate(phi, Role.SHRINKAGE, coupling), m)
-    psi = make_role_function(spec, Role.REGULARISER)
-    out_variational = minimize_by_diffusion(f, EnergySpec(psi=psi, alpha=m * tau), m)
-    out_resnet = chain([make_diffusion_block(phi, tau, 1.0)] * m, f)
-
-    outputs = {
-        "diffusion": out_diffusion,
-        "wavelet": out_wavelet,
-        "variational": out_variational,
-        "resnet": out_resnet,
-    }
+    coupling = CouplingParams(tau=args.tau, alpha=args.tau, h=1.0)
+    outputs = {}
+    for name in _METHODS:
+        config = RunConfig(method=name, family=spec, coupling=coupling, input_path=args.input,
+                           output_path=os.path.join(args.outdir, f"{name}.csv"),
+                           steps=args.steps, mode=StepSizeMode.MAXMIN)
+        outputs[name] = _denoise_signal(config, f)[0]
     os.makedirs(args.outdir, exist_ok=True)
     for name, sig in outputs.items():
         write_signal_csv(os.path.join(args.outdir, f"{name}.csv"), sig)
@@ -439,15 +415,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a decode error is a ValueError too
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    except (UsageError, ValueError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
     except StabilityViolation as exc:
         print(f"stability violation: {exc}", file=sys.stderr)
         return 3

@@ -8,7 +8,8 @@ through its two cell interfaces,
 with fd/bd the clamped forward/backward differences.  Equivalently the
 update is a conservation form: interface fluxes, with zero flux through
 the reflecting walls, so the sample sum is preserved exactly up to
-rounding.
+rounding.  Every method that takes explicit steps runs the step loop
+and the Lipschitz guard defined here.
 """
 
 from __future__ import annotations
@@ -55,16 +56,38 @@ def max_stable_tau(L: float, h: float, mode: StepSizeMode) -> float:
     return bound
 
 
-def _flux_step(x, ev, phi0, tau, h):
-    # One explicit step on raw samples.  phi0 = phi(0) is the wall flux;
-    # it is zero for every antisymmetric activation.
+def _flux_divergence(x, ev, phi0, h):
+    # Difference of the interface fluxes ev(fd x) around each sample.
+    # phi0 = phi(0) is the wall flux; it is zero for every antisymmetric
+    # activation.
     w = ev(_fdiff(x, h))
     div = np.empty_like(x)
     div[0] = w[0] - phi0
     np.subtract(w[1:], w[:-1], out=div[1:])
     if h != 1.0:
         div /= h
-    return x + tau * div
+    return div
+
+
+def _flux_step(x, ev, phi0, tau, h):
+    # One explicit step on raw samples.
+    return x + tau * _flux_divergence(x, ev, phi0, h)
+
+
+def _states(x, phi, tau, m, h):
+    # The loop of the explicit scheme: yields each of the m states after x.
+    ev = phi.evaluator
+    phi0 = _phi_at_zero(phi)
+    for _ in range(m):
+        x = _flux_step(x, ev, phi0, tau, h)
+        yield x
+
+
+def _evolve(x, phi, tau, m, h):
+    # The state after m steps; x itself when m is 0.
+    for x in _states(x, phi, tau, m, h):
+        pass
+    return x
 
 
 def _phi_at_zero(phi):
@@ -85,11 +108,11 @@ def explicit_step(u: Signal1D, phi: RoleFunction, tau: float) -> Signal1D:
     return Signal1D._wrap(out, u.h)
 
 
-def _gradient_range(f):
-    # Lipschitz sampling range: the initial gradient range, padded x2.
+def _lipschitz(phi, f):
+    # L of phi sampled on the initial gradient range of f, padded x2.
     # Under an admissible step the gradients cannot leave this range.
     r = 2.0 * float(np.max(np.abs(_fdiff(f.values, f.h))))
-    return r if r > 0.0 else 1.0
+    return estimate_lipschitz(phi, r if r > 0.0 else 1.0, _LIPSCHITZ_SAMPLES)
 
 
 def diffuse(
@@ -108,17 +131,13 @@ def diffuse(
     """
     if not np.isfinite(T) or T < 0.0:
         raise ValueError(f"stopping time must be nonnegative, got {T!r}")
-    L = estimate_lipschitz(phi, _gradient_range(f), _LIPSCHITZ_SAMPLES)
-    tau_max = max_stable_tau(L, f.h, mode)
+    tau_max = max_stable_tau(_lipschitz(phi, f), f.h, mode)
     if T == 0.0:
         return f, DiffusionPlan(phi=phi, tau=tau_max, steps=0, h=f.h, stopping_time=0.0)
     m = int(math.ceil(T / tau_max))
+    if T / m > tau_max:  # T/m can round one ulp above the bound
+        m += 1
     tau = T / m
-    x = f.values
-    ev = phi.evaluator
-    phi0 = _phi_at_zero(phi)
-    h = f.h
-    for _ in range(m):
-        x = _flux_step(x, ev, phi0, tau, h)
-    plan = DiffusionPlan(phi=phi, tau=tau, steps=m, h=h, stopping_time=m * tau)
-    return Signal1D._wrap(x, h), plan
+    x = _evolve(f.values, phi, tau, m, f.h)
+    plan = DiffusionPlan(phi=phi, tau=tau, steps=m, h=f.h, stopping_time=m * tau)
+    return Signal1D._wrap(x, f.h), plan

@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import _flux_step, _gradient_range, _phi_at_zero
-from .nonlinearities import Role, RoleFunction, estimate_lipschitz
+from .diffusion import StepSizeMode, _lipschitz, _states, max_stable_tau
+from .nonlinearities import Role, RoleFunction
+from .nonlinearities import estimate_lipschitz  # noqa: F401  traced by name (bench/tracing.py)
 from .signals import Signal1D
 
-_LIPSCHITZ_SAMPLES = 200_001
 _MAX_RECORDED_VIOLATIONS = 1000
 
 
@@ -116,20 +116,13 @@ def analyze(
         raise ValueError(f"need at least one step, got {steps!r}")
     if not np.isfinite(tau) or tau <= 0.0:
         raise ValueError(f"time step must be positive, got {tau!r}")
-    L = estimate_lipschitz(phi, _gradient_range(f), _LIPSCHITZ_SAMPLES)
-    tau_maxmin = f.h * f.h / (2.0 * L)
-    tau_sign = tau_maxmin / 2.0
-
-    x = f.values
-    lo = float(np.min(x))
-    hi = float(np.max(x))
-    ev = phi.evaluator
-    phi0 = _phi_at_zero(phi)
+    L = _lipschitz(phi, f)
+    lo = float(np.min(f.values))
+    hi = float(np.max(f.values))
     counts = []
     violations = []
     worst = 0.0
-    for k in range(1, steps + 1):
-        x = _flux_step(x, ev, phi0, tau, f.h)
+    for k, x in enumerate(_states(f.values, phi, tau, steps, f.h), 1):
         counts.append(_count_sign_changes(x))
         above = x > hi + slack
         below = x < lo - slack
@@ -141,8 +134,8 @@ def analyze(
     worst = max(worst, 0.0)
     return StabilityReport(
         lipschitz=L,
-        tau_maxmin=tau_maxmin,
-        tau_sign=tau_sign,
+        tau_maxmin=max_stable_tau(L, f.h, StepSizeMode.MAXMIN),
+        tau_sign=max_stable_tau(L, f.h, StepSizeMode.SIGN_STABLE),
         tau_used=tau,
         steps=steps,
         range_ok=worst <= slack,

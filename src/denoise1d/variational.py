@@ -21,16 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solveh_banded
 
-from .diffusion import StepSizeMode, _flux_step, _gradient_range, max_stable_tau
-from .nonlinearities import (
-    Role,
-    RoleFunction,
-    estimate_lipschitz,
-    translate,
-)
+from .diffusion import StepSizeMode, _evolve, _flux_divergence, _lipschitz, _phi_at_zero
+from .diffusion import max_stable_tau
+from .nonlinearities import Role, RoleFunction, translate
+from .nonlinearities import estimate_lipschitz  # noqa: F401  traced by name (bench/tracing.py)
 from .signals import Signal1D, _fdiff
-
-_LIPSCHITZ_SAMPLES = 200_001
 
 
 @dataclass(frozen=True)
@@ -65,19 +60,6 @@ def discrete_energy(u: Signal1D, f: Signal1D, spec: EnergySpec) -> float:
     return u.h * data + spec.alpha * u.h * reg
 
 
-def _flux_divergence(x, ev, h):
-    # Divergence of the interface fluxes ev(fd x); identical arithmetic
-    # to one explicit diffusion step without the time factor.
-    w = ev(_fdiff(x, h))
-    phi0 = float(ev(np.float64(0.0)))
-    div = np.empty_like(x)
-    div[0] = w[0] - phi0
-    np.subtract(w[1:], w[:-1], out=div[1:])
-    if h != 1.0:
-        div /= h
-    return div
-
-
 def euler_lagrange_residual(u: Signal1D, f: Signal1D, spec: EnergySpec) -> Signal1D:
     """Pointwise residual (u - f)/alpha - div(psi'(fd u)/2).
 
@@ -85,7 +67,8 @@ def euler_lagrange_residual(u: Signal1D, f: Signal1D, spec: EnergySpec) -> Signa
     """
     _check_pair(u, f)
     phi = translate(spec.psi, Role.ACTIVATION)
-    r = (u.values - f.values) / spec.alpha - _flux_divergence(u.values, phi.evaluator, u.h)
+    div = _flux_divergence(u.values, phi.evaluator, _phi_at_zero(phi), u.h)
+    r = (u.values - f.values) / spec.alpha - div
     return Signal1D._wrap(r, u.h)
 
 
@@ -93,7 +76,7 @@ def energy_gradient(u: Signal1D, f: Signal1D, spec: EnergySpec) -> np.ndarray:
     """Analytic gradient of :func:`discrete_energy` with respect to u."""
     _check_pair(u, f)
     phi = translate(spec.psi, Role.ACTIVATION)
-    div = _flux_divergence(u.values, phi.evaluator, u.h)
+    div = _flux_divergence(u.values, phi.evaluator, _phi_at_zero(phi), u.h)
     return 2.0 * u.h * (u.values - f.values) - 2.0 * spec.alpha * u.h * div
 
 
@@ -107,20 +90,14 @@ def minimize_by_diffusion(f: Signal1D, spec: EnergySpec, m: int) -> Signal1D:
         raise ValueError(f"need at least one step, got m = {m!r}")
     phi = translate(spec.psi, Role.ACTIVATION)
     tau = spec.alpha / m
-    L = estimate_lipschitz(phi, _gradient_range(f), _LIPSCHITZ_SAMPLES)
-    tau_max = max_stable_tau(L, f.h, StepSizeMode.MAXMIN)
+    tau_max = max_stable_tau(_lipschitz(phi, f), f.h, StepSizeMode.MAXMIN)
     if tau > tau_max:
         m_min = int(math.ceil(spec.alpha / tau_max))
         raise ValueError(
             f"tau = alpha/m = {tau:g} exceeds the stability bound {tau_max:g}; "
             f"use m >= {m_min}"
         )
-    x = f.values
-    ev = phi.evaluator
-    phi0 = float(ev(np.float64(0.0)))
-    for _ in range(m):
-        x = _flux_step(x, ev, phi0, tau, f.h)
-    return Signal1D._wrap(x, f.h)
+    return Signal1D._wrap(_evolve(f.values, phi, tau, m, f.h), f.h)
 
 
 def tikhonov_solve_oracle(f: Signal1D, alpha: float) -> Signal1D:

@@ -109,6 +109,29 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("method", ("diffusion", "wavelet", "variational", "resnet"))
+    def test_negative_steps_are_usage_errors(self, tmp_path, method):
+        sig = tmp_path / "f.csv"
+        out = tmp_path / "o.csv"
+        main(["generate", "--kind", "step", "--n", "8", "--out", str(sig)])
+        args = ["denoise", "--method", method, "--input", str(sig), "--out", str(out)]
+        assert main(args + ["--steps", "-3"]) == 1
+        assert not out.exists()
+        assert main(args + ["--steps", "0"]) == (1 if method == "variational" else 0)
+
+    @pytest.mark.parametrize("points", ("nan", "inf", "1.0,-inf", "nan,inf"))
+    def test_non_finite_translate_points_are_usage_errors(self, capsys, points):
+        assert main(["translate", "--to", "activation", "--at", points]) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_non_ascii_input_is_io_error(self, tmp_path, capsys):
+        sig = tmp_path / "f.csv"
+        sig.write_bytes("1.0\n\u00e9\n".encode("utf-8"))
+        code = main(["denoise", "--method", "diffusion", "--input", str(sig),
+                     "--out", str(tmp_path / "o.csv"), "--time", "0.25"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("i/o error:")
+
     def test_noise_without_seed_is_usage_error(self, tmp_path):
         sig = tmp_path / "f.csv"
         main(["generate", "--kind", "spike", "--n", "5", "--out", str(sig)])

@@ -1,7 +1,12 @@
 import math
+import os
+import tempfile
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from denoise1d import (
     Family,
@@ -14,6 +19,7 @@ from denoise1d import (
     make_role_function,
     max_stable_tau,
 )
+from denoise1d.cli import main, read_signal_csv, write_signal_csv
 
 ALL_FAMILIES = tuple(Family)
 
@@ -111,6 +117,16 @@ class TestDiffuse:
             assert plan.stopping_time == plan.steps * plan.tau
             assert abs(plan.stopping_time - T) <= 4e-16 * max(1.0, T)
 
+    def test_step_never_rounds_above_the_bound(self):
+        """T = k tau_max, where T/k can round one ulp above tau_max
+        (k = 5 for this input)."""
+        f = Signal1D([1.8125, 0.015625])
+        phi = phi_of(Family.TRUNCATED_QUADRATIC)
+        tau_max = diffuse(f, phi, 0.0, StepSizeMode.MAXMIN)[1].tau
+        for k in range(1, 100):
+            _, plan = diffuse(f, phi, k * tau_max, StepSizeMode.MAXMIN)
+            assert plan.tau <= tau_max
+
     def test_long_time_converges_to_mean(self):
         f = Signal1D([0.3, -0.7, 1.4, 0.2, 0.9])
         out, _ = diffuse(f, phi_of(Family.CONSTANT), 1e6, StepSizeMode.MAXMIN)
@@ -125,7 +141,7 @@ class TestMaximumMinimumPrinciple:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_range_preserved_at_the_bound(self, family):
         """1000 random signals, 100 steps at tau = h^2/(2 g_max)."""
-        rng = np.random.default_rng(hash(family.value) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(family.value.encode()))
         phi = phi_of(family)
         tau = 0.5  # h = 1, g_max = 1 for every family at unit parameters
         for _ in range(1000):
@@ -148,3 +164,54 @@ class TestMaximumMinimumPrinciple:
                 escaped = True
                 break
         assert escaped
+
+
+class TestSharedLoop:
+    """diffuse and ``denoise --method diffusion --steps m`` run the loop of
+    the explicit scheme: bit-identical to m calls of explicit_step, sum
+    conserving and range preserving at the max-min bound."""
+
+    signals = st.builds(
+        Signal1D,
+        st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=64),
+        st.sampled_from((1.0, 0.5)),
+    )
+
+    @staticmethod
+    def check_against_explicit_steps(f, phi, tau, m, out):
+        x = f.values
+        slack = 1e-12 * max(1.0, float(np.max(np.abs(x))))
+        drift = 1e-10 * max(1.0, float(np.sum(np.abs(x))))
+        u = f
+        for _ in range(m):
+            u = explicit_step(u, phi, tau)
+            assert abs(float(np.sum(u.values)) - float(np.sum(x))) <= drift
+            assert float(np.min(u.values)) >= float(np.min(x)) - slack
+            assert float(np.max(u.values)) <= float(np.max(x)) + slack
+        np.testing.assert_array_equal(out, u.values)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @settings(max_examples=30, deadline=None)
+    @given(f=signals, m=st.integers(1, 12))
+    def test_diffuse(self, family, f, m):
+        phi = phi_of(family)
+        tau_max = diffuse(f, phi, 0.0, StepSizeMode.MAXMIN)[1].tau
+        out, plan = diffuse(f, phi, m * tau_max, StepSizeMode.MAXMIN)
+        assert plan.tau <= tau_max
+        self.check_against_explicit_steps(f, phi, plan.tau, plan.steps, out.values)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @settings(max_examples=15, deadline=None)
+    @given(f=signals, m=st.integers(1, 12))
+    def test_denoise_steps(self, family, f, m):
+        phi = phi_of(family)
+        tau = diffuse(f, phi, 0.0, StepSizeMode.MAXMIN)[1].tau
+        with tempfile.TemporaryDirectory() as tmp:
+            sig, out = os.path.join(tmp, "f.csv"), os.path.join(tmp, "o.csv")
+            write_signal_csv(sig, f)
+            code = main(["denoise", "--method", "diffusion", "--input", sig, "--out", out,
+                         "--family", family.value, "--steps", str(m), "--tau", repr(tau),
+                         "--mode", "maxmin"])
+            assert code == 0
+            result = read_signal_csv(out).values
+        self.check_against_explicit_steps(f, phi, tau, m, result)
