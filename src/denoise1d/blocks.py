@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from .diffusion import _last
 from .nonlinearities import SQRT2, Role, RoleFunction
 from .signals import Signal1D
 
@@ -91,7 +92,11 @@ class ResidualBlock:
 
 def apply_block(block: ResidualBlock, f: Signal1D) -> Signal1D:
     """Evaluate the block on a signal."""
-    x = f.values
+    return Signal1D._wrap(_apply(block, f.values), f.h)
+
+
+def _apply(block, x):
+    # apply_block on raw samples.
     for b in (block.b1, block.b2):
         if b.size and b.size != x.size:
             raise ValueError(f"bias length {b.size} does not match signal length {x.size}")
@@ -102,8 +107,7 @@ def apply_block(block: ResidualBlock, f: Signal1D) -> Signal1D:
     outer = _conv(mid, block._taps2, block._p2, edge=False)
     if block.b2.size:
         outer += block.b2
-    out = np.asarray(block.sigma2(x + outer), dtype=np.float64)
-    return Signal1D._wrap(out, f.h)
+    return np.asarray(block.sigma2(x + outer), dtype=np.float64)
 
 
 def make_diffusion_block(phi: RoleFunction, tau: float, h: float) -> ResidualBlock:
@@ -128,10 +132,15 @@ def make_diffusion_block(phi: RoleFunction, tau: float, h: float) -> ResidualBlo
 
 def chain(blocks, f: Signal1D) -> Signal1D:
     """Left-to-right composition of blocks; an empty chain is the identity."""
-    out = f
+    x = _last(_chain_states(blocks, f.values), None)
+    return f if x is None else Signal1D._wrap(x, f.h)
+
+
+def _chain_states(blocks, x):
+    # The block loop: yields the state after each block.
     for block in blocks:
-        out = apply_block(block, out)
-    return out
+        x = _apply(block, x)
+        yield x
 
 
 def relu(r):

@@ -21,9 +21,10 @@ from typing import Optional
 
 import numpy as np
 
-from .blocks import chain, make_diffusion_block
-from .diffusion import StepSizeMode, _evolve, _lipschitz, diffuse, max_stable_tau
-from .diffusion import explicit_step  # noqa: F401  traced by name (bench/tracing.py)
+from .blocks import _chain_states, make_diffusion_block
+from .blocks import chain  # noqa: F401  traced by name (bench/tracing.py)
+from .diffusion import StepSizeMode, _last, _lipschitz, _schedule, _states, max_stable_tau
+from .diffusion import diffuse, explicit_step  # noqa: F401  traced by name (bench/tracing.py)
 from .nonlinearities import (
     CouplingParams,
     Family,
@@ -33,10 +34,12 @@ from .nonlinearities import (
     translate,
 )
 from .nonlinearities import estimate_lipschitz  # noqa: F401  traced by name (bench/tracing.py)
-from .shrinkage import iterate_shrinkage
+from .shrinkage import _require_unit_grid, _shrink_states
+from .shrinkage import iterate_shrinkage  # noqa: F401  traced by name (bench/tracing.py)
 from .signals import Signal1D
-from .stability import analyze
-from .variational import EnergySpec, minimize_by_diffusion
+from .stability import _observe, analyze
+from .variational import EnergySpec, _check_step
+from .variational import minimize_by_diffusion  # noqa: F401  traced by name (bench/tracing.py)
 
 _METHODS = ("diffusion", "wavelet", "variational", "resnet")
 
@@ -142,27 +145,27 @@ def add_noise(u: Signal1D, model: NoiseModel, seed=None) -> Signal1D:
 
 
 def read_signal_csv(path) -> Signal1D:
+    with open(path, "r", encoding="ascii") as fh:
+        rows = [s for s in map(str.strip, fh.read().split("\n")) if s]
+    # Samples are parsed in file order around each comment line, so the
+    # first bad token in the file is the one reported.
     h = 1.0
     samples = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("h="):
-                    h = float(body[2:])
-                continue
-            samples.append(float(line))
+    start = 0
+    for i in [i for i, s in enumerate(rows) if s[0] == "#"]:
+        samples += map(float, rows[start:i])
+        start = i + 1
+        body = rows[i][1:].strip()
+        if body.startswith("h="):
+            h = float(body[2:])
+    samples += map(float, rows[start:])
     return Signal1D(np.array(samples), h)
 
 
 def write_signal_csv(path, u: Signal1D):
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# h={u.h:.17g}\n")
-        for v in u.values:
-            fh.write(f"{v:.17g}\n")
+        fh.write("".join(map("{:.17g}\n".format, u.values.tolist())))
 
 
 def _family_spec(args) -> FamilySpec:
@@ -184,7 +187,12 @@ def _noise_model(args) -> NoiseModel:
 
 
 def _denoise_signal(config: RunConfig, f: Signal1D):
-    """Run one method; returns (denoised, phi, tau, steps) for reporting."""
+    """Plan one method's run on f; returns (states, tau, L).
+
+    ``states`` yields the state after each step or block as it is
+    taken, so a caller runs the steps once however it observes them.
+    L is the run's one Lipschitz estimate: the one its guard used.
+    """
     spec = config.family
     phi = make_role_function(spec, Role.ACTIVATION)
     tau = config.coupling.tau
@@ -193,20 +201,26 @@ def _denoise_signal(config: RunConfig, f: Signal1D):
     if config.stopping_time is not None:
         if config.method != "diffusion":
             raise UsageError(f"method {config.method!r} needs --steps, not --time")
-        out, plan = diffuse(f, phi, config.stopping_time, config.mode)
-        return out, phi, plan.tau, plan.steps
+        L, tau, m = _schedule(f, phi, config.stopping_time, config.mode)
+        return _states(f.values, phi, tau, m, f.h), tau, L
 
     if config.method == "wavelet":
         shrink = translate(phi, Role.SHRINKAGE, config.coupling)
-        return iterate_shrinkage(f, shrink, m), phi, tau, m
+        _require_unit_grid(f.h)
+        return _shrink_states(f.values, shrink.evaluator, m), tau, _lipschitz(phi, f)
 
     if config.method == "variational":
+        # Steps of the given tau, guarded as minimize_by_diffusion guards
+        # alpha/m, which can round one ulp above it.
         psi = make_role_function(spec, Role.REGULARISER)
+        phi = translate(psi, Role.ACTIVATION)
+        L = _lipschitz(phi, f)
         try:
-            out = minimize_by_diffusion(f, EnergySpec(psi=psi, alpha=m * tau), m)
+            energy = EnergySpec(psi=psi, alpha=m * tau)
+            _check_step(L, f.h, energy.alpha, tau)
         except ValueError as exc:
             raise StabilityViolation(str(exc)) from None
-        return out, phi, tau, m
+        return _states(f.values, phi, tau, m, f.h), tau, L
 
     L = _lipschitz(phi, f)
     bound = max_stable_tau(L, f.h, config.mode)
@@ -215,18 +229,21 @@ def _denoise_signal(config: RunConfig, f: Signal1D):
             f"tau = {tau:g} violates the {config.mode.value} bound {bound:g} (L = {L:g})"
         )
     if config.method == "diffusion":
-        return Signal1D._wrap(_evolve(f.values, phi, tau, m, f.h), f.h), phi, tau, m
-    return chain([make_diffusion_block(phi, tau, f.h)] * m, f), phi, tau, m
+        return _states(f.values, phi, tau, m, f.h), tau, L
+    return _chain_states([make_diffusion_block(phi, tau, f.h)] * m, f.values), tau, L
 
 
 def run(config: RunConfig) -> int:
-    """Execute a denoise run: read, perturb, filter, write, report."""
+    """Execute a denoise run: read, perturb, filter, write, report.
+
+    The report is read off the run's own states as they are taken.
+    """
     f = read_signal_csv(config.input_path)
     f = add_noise(f, config.noise, config.seed)
-    out, phi, tau, steps = _denoise_signal(config, f)
-    write_signal_csv(config.output_path, out)
+    states, tau, L = _denoise_signal(config, f)
+    report, x = _observe(f, states, L, tau)
+    write_signal_csv(config.output_path, Signal1D._wrap(x, f.h))
     report_path = config.report_path or config.output_path + ".report"
-    report = analyze(f, phi, tau, max(steps, 1))
     with open(report_path, "w", encoding="ascii") as fh:
         fh.write("\n".join(report.to_lines()) + "\n")
     return 0
@@ -311,7 +328,7 @@ def _cmd_compare(args):
         config = RunConfig(method=name, family=spec, coupling=coupling, input_path=args.input,
                            output_path=os.path.join(args.outdir, f"{name}.csv"),
                            steps=args.steps, mode=StepSizeMode.MAXMIN)
-        outputs[name] = _denoise_signal(config, f)[0]
+        outputs[name] = Signal1D._wrap(_last(_denoise_signal(config, f)[0], f.values), f.h)
     os.makedirs(args.outdir, exist_ok=True)
     for name, sig in outputs.items():
         write_signal_csv(os.path.join(args.outdir, f"{name}.csv"), sig)

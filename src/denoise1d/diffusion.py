@@ -83,9 +83,9 @@ def _states(x, phi, tau, m, h):
         yield x
 
 
-def _evolve(x, phi, tau, m, h):
-    # The state after m steps; x itself when m is 0.
-    for x in _states(x, phi, tau, m, h):
+def _last(states, x):
+    # Drains a state generator; its last state, x when it yields none.
+    for x in states:
         pass
     return x
 
@@ -111,8 +111,25 @@ def explicit_step(u: Signal1D, phi: RoleFunction, tau: float) -> Signal1D:
 def _lipschitz(phi, f):
     # L of phi sampled on the initial gradient range of f, padded x2.
     # Under an admissible step the gradients cannot leave this range.
-    r = 2.0 * float(np.max(np.abs(_fdiff(f.values, f.h))))
+    with np.errstate(over="ignore"):
+        r = 2.0 * float(np.max(np.abs(_fdiff(f.values, f.h))))
+    if not math.isfinite(r):
+        raise ValueError("the input's gradients overflow float64; rescale the signal")
     return estimate_lipschitz(phi, r if r > 0.0 else 1.0, _LIPSCHITZ_SAMPLES)
+
+
+def _schedule(f, phi, T, mode):
+    # (L, tau, m) of diffuse: the smallest m with T/m within the bound.
+    if not np.isfinite(T) or T < 0.0:
+        raise ValueError(f"stopping time must be nonnegative, got {T!r}")
+    L = _lipschitz(phi, f)
+    tau_max = max_stable_tau(L, f.h, mode)
+    if T == 0.0:
+        return L, tau_max, 0
+    m = max(1, int(math.ceil(T / tau_max)))  # T/tau_max can underflow to 0
+    if T / m > tau_max:  # T/m can round one ulp above the bound
+        m += 1
+    return L, T / m, m
 
 
 def diffuse(
@@ -129,15 +146,9 @@ def diffuse(
 
     Returns the filtered signal and the :class:`DiffusionPlan` used.
     """
-    if not np.isfinite(T) or T < 0.0:
-        raise ValueError(f"stopping time must be nonnegative, got {T!r}")
-    tau_max = max_stable_tau(_lipschitz(phi, f), f.h, mode)
-    if T == 0.0:
-        return f, DiffusionPlan(phi=phi, tau=tau_max, steps=0, h=f.h, stopping_time=0.0)
-    m = int(math.ceil(T / tau_max))
-    if T / m > tau_max:  # T/m can round one ulp above the bound
-        m += 1
-    tau = T / m
-    x = _evolve(f.values, phi, tau, m, f.h)
+    _, tau, m = _schedule(f, phi, T, mode)
+    if m == 0:
+        return f, DiffusionPlan(phi=phi, tau=tau, steps=0, h=f.h, stopping_time=0.0)
+    x = _last(_states(f.values, phi, tau, m, f.h), None)
     plan = DiffusionPlan(phi=phi, tau=tau, steps=m, h=f.h, stopping_time=m * tau)
     return Signal1D._wrap(x, f.h), plan

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diffusion import _last
 from .nonlinearities import SQRT2, Role, RoleFunction
 from .signals import Signal1D, _bdiff, _fdiff
 
@@ -76,12 +77,16 @@ def _shift_invariant_by_pairs(x, ev):
     return out
 
 
+def _require_unit_grid(h):
+    if h != 1.0:
+        raise ValueError(f"shift-invariant Haar shrinkage requires h = 1, got h = {h!r}")
+
+
 def shift_invariant_step(u: Signal1D, shrink: RoleFunction) -> Signal1D:
     """One cycle-spun Haar shrinkage step (grid size 1 only)."""
     if shrink.role is not Role.SHRINKAGE:
         raise ValueError("shift_invariant_step expects a shrinkage function")
-    if u.h != 1.0:
-        raise ValueError(f"shift-invariant Haar shrinkage requires h = 1, got h = {u.h!r}")
+    _require_unit_grid(u.h)
     return Signal1D._wrap(_shift_invariant_values(u.values, shrink.evaluator), 1.0)
 
 
@@ -91,10 +96,13 @@ def iterate_shrinkage(f: Signal1D, shrink: RoleFunction, m: int) -> Signal1D:
         raise ValueError(f"step count must be nonnegative, got {m!r}")
     if shrink.role is not Role.SHRINKAGE:
         raise ValueError("iterate_shrinkage expects a shrinkage function")
-    if f.h != 1.0:
-        raise ValueError(f"shift-invariant Haar shrinkage requires h = 1, got h = {f.h!r}")
-    x = f.values
-    ev = shrink.evaluator
+    _require_unit_grid(f.h)
+    x = _last(_shrink_states(f.values, shrink.evaluator, m), None)
+    return f if x is None else Signal1D._wrap(x, 1.0)
+
+
+def _shrink_states(x, ev, m):
+    # The shrinkage loop: yields each of the m states after x.
     for _ in range(m):
         x = _shift_invariant_values(x, ev)
-    return Signal1D._wrap(x, 1.0) if m > 0 else f
+        yield x

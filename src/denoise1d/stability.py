@@ -117,12 +117,19 @@ def analyze(
     if not np.isfinite(tau) or tau <= 0.0:
         raise ValueError(f"time step must be positive, got {tau!r}")
     L = _lipschitz(phi, f)
+    return _observe(f, _states(f.values, phi, tau, steps, f.h), L, tau, slack)[0]
+
+
+def _observe(f, states, L, tau, slack=1e-12):
+    # Reads a StabilityReport off the states of a run as they pass;
+    # returns it with the last state (f's samples when there is none).
     lo = float(np.min(f.values))
     hi = float(np.max(f.values))
     counts = []
     violations = []
     worst = 0.0
-    for k, x in enumerate(_states(f.values, phi, tau, steps, f.h), 1):
+    x = f.values
+    for k, x in enumerate(states, 1):
         counts.append(_count_sign_changes(x))
         above = x > hi + slack
         below = x < lo - slack
@@ -132,15 +139,16 @@ def analyze(
                     violations.append((k, int(i), float(x[i])))
         worst = max(worst, float(np.max(x)) - hi, lo - float(np.min(x)))
     worst = max(worst, 0.0)
-    return StabilityReport(
+    report = StabilityReport(
         lipschitz=L,
         tau_maxmin=max_stable_tau(L, f.h, StepSizeMode.MAXMIN),
         tau_sign=max_stable_tau(L, f.h, StepSizeMode.SIGN_STABLE),
         tau_used=tau,
-        steps=steps,
+        steps=len(counts),
         range_ok=worst <= slack,
         worst_overshoot=worst,
         sign_changes_in=_count_sign_changes(f.values),
         sign_changes_per_step=counts,
         violations=violations,
     )
+    return report, x

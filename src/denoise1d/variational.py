@@ -19,9 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
-from .diffusion import StepSizeMode, _evolve, _flux_divergence, _lipschitz, _phi_at_zero
+from .diffusion import StepSizeMode, _flux_divergence, _last, _lipschitz, _phi_at_zero, _states
 from .diffusion import max_stable_tau
 from .nonlinearities import Role, RoleFunction, translate
 from .nonlinearities import estimate_lipschitz  # noqa: F401  traced by name (bench/tracing.py)
@@ -90,14 +89,19 @@ def minimize_by_diffusion(f: Signal1D, spec: EnergySpec, m: int) -> Signal1D:
         raise ValueError(f"need at least one step, got m = {m!r}")
     phi = translate(spec.psi, Role.ACTIVATION)
     tau = spec.alpha / m
-    tau_max = max_stable_tau(_lipschitz(phi, f), f.h, StepSizeMode.MAXMIN)
+    _check_step(_lipschitz(phi, f), f.h, spec.alpha, tau)
+    return Signal1D._wrap(_last(_states(f.values, phi, tau, m, f.h), None), f.h)
+
+
+def _check_step(L, h, alpha, tau):
+    # The max-min guard of minimize_by_diffusion on a step tau for alpha.
+    tau_max = max_stable_tau(L, h, StepSizeMode.MAXMIN)
     if tau > tau_max:
-        m_min = int(math.ceil(spec.alpha / tau_max))
+        m_min = int(math.ceil(alpha / tau_max))
         raise ValueError(
             f"tau = alpha/m = {tau:g} exceeds the stability bound {tau_max:g}; "
             f"use m >= {m_min}"
         )
-    return Signal1D._wrap(_evolve(f.values, phi, tau, m, f.h), f.h)
 
 
 def tikhonov_solve_oracle(f: Signal1D, alpha: float) -> Signal1D:
@@ -107,6 +111,8 @@ def tikhonov_solve_oracle(f: Signal1D, alpha: float) -> Signal1D:
     Laplacian by a direct symmetric tridiagonal solve.  Independent of
     the explicit-step code path; used as a verification oracle.
     """
+    from scipy.linalg import solveh_banded  # only this oracle needs scipy
+
     if not np.isfinite(alpha) or alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
     n = len(f)

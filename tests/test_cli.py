@@ -1,9 +1,34 @@
 import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from denoise1d import Signal1D
+import denoise1d
+from denoise1d import (
+    CouplingParams,
+    EnergySpec,
+    Family,
+    FamilySpec,
+    Role,
+    Signal1D,
+    StepSizeMode,
+    chain,
+    check_range_preservation,
+    count_sign_changes,
+    iterate_shrinkage,
+    make_diffusion_block,
+    make_role_function,
+    max_stable_tau,
+    minimize_by_diffusion,
+    translate,
+)
 from denoise1d.cli import (
     NoiseModel,
     add_noise,
@@ -12,6 +37,10 @@ from denoise1d.cli import (
     read_signal_csv,
     write_signal_csv,
 )
+from denoise1d.diffusion import _last, _lipschitz, _states
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(denoise1d.__file__)))
+METHODS = ("diffusion", "wavelet", "variational", "resnet")
 
 
 class TestGenerateSignal:
@@ -258,3 +287,258 @@ class TestCompareCommand:
                 )
             )
         assert blobs[0] == blobs[1]
+
+
+def _read_per_line(path):
+    # The line-at-a-time parser that read_signal_csv replaced; the
+    # reference for its contract.
+    h = 1.0
+    samples = []
+    with open(path, "r", encoding="ascii") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("h="):
+                    h = float(body[2:])
+                continue
+            samples.append(float(line))
+    return Signal1D(np.array(samples), h)
+
+
+def _written_per_line(u):
+    # The bytes of the line-at-a-time writer that write_signal_csv replaced.
+    return (f"# h={u.h:.17g}\n" + "".join(f"{v:.17g}\n" for v in u.values)).encode("ascii")
+
+
+def _report(path):
+    with open(path, encoding="ascii") as fh:
+        return dict(line.split("=", 1) for line in fh.read().splitlines())
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+csv_lines = st.one_of(
+    finite_floats.map(repr),
+    finite_floats.map("{:.17g}".format),
+    st.sampled_from(["", "  ", "# h=0.5", "  #h=2 ", "# comment", "#", "\t# h=1e-3"]),
+)
+
+
+class TestCsvContract:
+    @pytest.mark.parametrize("values", [
+        [-0.0, 0.0], [5e-324, -2.2250738585072014e-308, 1e-310], [1e308, -1e308],
+        [0.1, 1.0 / 3.0, 123456789.0],
+    ])
+    def test_write_matches_the_per_line_bytes(self, tmp_path, values):
+        u = Signal1D(values, h=0.1)
+        path = tmp_path / "o.csv"
+        write_signal_csv(path, u)
+        assert path.read_bytes() == _written_per_line(u)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(finite_floats, min_size=1, max_size=40),
+           st.floats(min_value=1e-6, max_value=1e6))
+    def test_write_then_read_is_exact(self, values, h):
+        u = Signal1D(values, h)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "o.csv")
+            write_signal_csv(path, u)
+            with open(path, "rb") as fh:
+                assert fh.read() == _written_per_line(u)
+            back = read_signal_csv(path)
+        np.testing.assert_array_equal(back.values, u.values)
+        assert back.h == u.h
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(csv_lines, min_size=1, max_size=30), st.sampled_from(["\n", "\r\n", "\r"]),
+           st.sampled_from(["", "  ", "\t"]))
+    def test_read_matches_the_per_line_parser(self, lines, newline, pad):
+        text = newline.join(pad + line + pad for line in lines)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "f.csv")
+            with open(path, "w", encoding="ascii", newline="") as fh:
+                fh.write(text)
+            try:
+                want = _read_per_line(path)
+            except ValueError as exc:  # no samples
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    read_signal_csv(path)
+                return
+            got = read_signal_csv(path)
+        np.testing.assert_array_equal(got.values, want.values)
+        assert got.h == want.h
+
+    def test_headers_blanks_and_whitespace_anywhere(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"  1.5 \r\n\r\n# h=0.5\n-2\n\t3e-310\n  # h=0.25  \n4\n")
+        u = read_signal_csv(path)
+        np.testing.assert_array_equal(u.values, [1.5, -2.0, 3e-310, 4.0])
+        assert u.h == 0.25
+
+    @pytest.mark.parametrize("text", [
+        "1\nabc\n2\n",
+        "1\n# h=x\nabc\n",
+        "abc\n# h=x\n",
+        "# h=0.5\n1\n2,3\n",
+    ])
+    def test_the_first_bad_token_is_reported(self, tmp_path, capsys, text):
+        sig = tmp_path / "f.csv"
+        sig.write_text(text)
+        with pytest.raises(ValueError) as want:
+            _read_per_line(sig)
+        code = main(["denoise", "--method", "diffusion", "--input", str(sig),
+                     "--out", str(tmp_path / "o.csv"), "--time", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == f"usage error: {want.value}\n"
+
+    def test_non_ascii_is_still_an_io_error(self, tmp_path, capsys):
+        sig = tmp_path / "f.csv"
+        sig.write_bytes(b"1.0\n" * 5000 + "é\n".encode("utf-8"))
+        code = main(["denoise", "--method", "wavelet", "--input", str(sig),
+                     "--out", str(tmp_path / "o.csv"), "--steps", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("i/o error: 'ascii' codec can't decode")
+
+
+class TestScipyIsLazy:
+    def test_importing_the_cli_does_not_load_scipy(self):
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        code = ("import sys, denoise1d, denoise1d.cli; "
+                "sys.exit('scipy' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+class TestGradientOverflow:
+    @pytest.fixture
+    def overflowing(self, tmp_path):
+        sig = tmp_path / "f.csv"
+        sig.write_text("1e308\n-1e308\n0\n")
+        return sig
+
+    @pytest.mark.parametrize("method", METHODS + ("diffusion --time",))
+    def test_fails_cleanly_before_writing(self, tmp_path, capsys, overflowing, method):
+        out = tmp_path / "o.csv"
+        args = ["denoise", "--method", method.split()[0], "--input", str(overflowing),
+                "--out", str(out)]
+        args += ["--time", "1"] if "--time" in method else ["--steps", "2", "--tau", "0.1"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err == "usage error: the input's gradients overflow float64; rescale the signal\n"
+        assert not out.exists()
+        assert not (tmp_path / "o.csv.report").exists()
+
+    def test_stability_and_compare_too(self, tmp_path, capsys, overflowing):
+        assert main(["stability", "--input", str(overflowing)]) == 1
+        assert main(["compare", "--input", str(overflowing), "--outdir", str(tmp_path / "c")]) == 1
+        assert capsys.readouterr().err.count("gradients overflow") == 2
+        assert not (tmp_path / "c").exists()
+
+
+class TestVariationalStepsWithTheGivenTau:
+    def test_a_tau_on_the_bound_runs_like_diffusion(self, tmp_path):
+        # A seeded input whose max-min bound tau has (m*tau)/m > tau for
+        # some m: the guard of alpha/m with alpha = m*tau would refuse it.
+        spec = FamilySpec(Family.TRUNCATED_QUADRATIC)
+        phi = translate(make_role_function(spec, Role.REGULARISER), Role.ACTIVATION)
+        for seed in range(100):
+            f = Signal1D(np.random.default_rng(seed).uniform(0.0, 4.0, 8))
+            tau = max_stable_tau(_lipschitz(phi, f), 1.0, StepSizeMode.MAXMIN)
+            m = next((m for m in range(2, 12) if (m * tau) / m > tau), None)
+            if m is not None:
+                break
+        else:
+            pytest.fail("no seeded input has a bound that rounds up")
+        sig, out = tmp_path / "f.csv", tmp_path / "o.csv"
+        write_signal_csv(sig, f)
+        base = ["denoise", "--input", str(sig), "--out", str(out), "--family",
+                spec.family.value, "--steps", str(m), "--tau", repr(tau), "--mode", "maxmin"]
+        assert main(base + ["--method", "diffusion"]) == 0
+        assert main(base + ["--method", "variational"]) == 0
+        np.testing.assert_array_equal(read_signal_csv(out).values,
+                                      _last(_states(f.values, phi, tau, m, 1.0), None))
+        assert float(_report(str(out) + ".report")["tau_used"]) == tau
+
+
+class TestReportComesFromTheRun:
+    @pytest.mark.parametrize("family", ("perona-malik", "truncated-tv", "truncated-quadratic"))
+    @pytest.mark.parametrize("steps,share", [(1, 1.0), (6, 0.5), (5, 0.3)])
+    def test_diffusion_report_is_the_stability_report(self, tmp_path, family, steps, share):
+        sig = tmp_path / "f.csv"
+        main(["generate", "--kind", "piecewise", "--n", "31", "--out", str(sig)])
+        f = read_signal_csv(sig)
+        phi = make_role_function(FamilySpec(Family(family)), Role.ACTIVATION)
+        tau = share * max_stable_tau(_lipschitz(phi, f), 1.0, StepSizeMode.MAXMIN)
+        common = ["--input", str(sig), "--family", family, "--tau", repr(tau),
+                  "--steps", str(steps)]
+        assert main(["denoise", "--method", "diffusion", "--out", str(tmp_path / "o.csv"),
+                     "--mode", "maxmin"] + common) == 0
+        assert main(["stability", "--out", str(tmp_path / "s.txt")] + common) == 0
+        assert (tmp_path / "o.csv.report").read_bytes() == (tmp_path / "s.txt").read_bytes()
+
+    @staticmethod
+    def expect(report, f, states, L, tau):
+        assert report["steps"] == str(len(states))
+        assert float(report["lipschitz"]) == L
+        assert float(report["tau_used"]) == tau
+        counts = [count_sign_changes(u) for u in states]
+        assert report["sign_changes_per_step"] == ",".join(map(str, counts))
+        ok, worst = check_range_preservation(f, states)
+        assert float(report["worst_overshoot"]) == worst
+        assert report["range_ok"] == ("true" if ok else "false")
+
+    def run(self, tmp_path, method, f, family, steps, tau):
+        sig, out = tmp_path / "f.csv", tmp_path / "o.csv"
+        write_signal_csv(sig, f)
+        assert main(["denoise", "--method", method, "--input", str(sig), "--out", str(out),
+                     "--family", family, "--steps", str(steps), "--tau", str(tau),
+                     "--mode", "maxmin"]) == 0
+        return _report(str(out) + ".report"), read_signal_csv(out).values
+
+    def test_wavelet_reports_its_own_steps(self, tmp_path):
+        # Beyond the bound the shrinkage states and the diffusion states
+        # part by rounding, and the sign-change counts tell them apart.
+        f = Signal1D(np.where(np.arange(50) > 24, 1.0, 0.0))
+        phi = make_role_function(FamilySpec(Family.TRUNCATED_QUADRATIC), Role.ACTIVATION)
+        shrink = translate(phi, Role.SHRINKAGE, CouplingParams(tau=0.75))
+        report, out = self.run(tmp_path, "wavelet", f, "truncated-quadratic", 7, 0.75)
+        states = [iterate_shrinkage(f, shrink, k) for k in range(1, 8)]
+        self.expect(report, f, states, _lipschitz(phi, f), 0.75)
+        np.testing.assert_array_equal(out, states[-1].values)
+        assert report["sign_changes_per_step"] != ",".join(
+            str(count_sign_changes(Signal1D(_last(_states(f.values, phi, 0.75, k, 1.0), None))))
+            for k in range(1, 8))
+
+    def test_variational_reports_its_own_steps(self, tmp_path):
+        f = generate_signal("piecewise", 40)
+        psi = make_role_function(FamilySpec(Family.CHARBONNIER), Role.REGULARISER)
+        states = [minimize_by_diffusion(f, EnergySpec(psi, alpha=k * 0.125), k)
+                  for k in range(1, 5)]
+        report, out = self.run(tmp_path, "variational", f, "charbonnier", 4, 0.125)
+        self.expect(report, f, states, _lipschitz(translate(psi, Role.ACTIVATION), f), 0.125)
+        np.testing.assert_array_equal(out, states[-1].values)
+
+    def test_resnet_reports_its_own_blocks(self, tmp_path):
+        f = generate_signal("sine", 33)
+        phi = make_role_function(FamilySpec(Family.PERONA_MALIK), Role.ACTIVATION)
+        blocks = [make_diffusion_block(phi, 0.25, 1.0)] * 5
+        states = [chain(blocks[:k], f) for k in range(1, 6)]
+        report, out = self.run(tmp_path, "resnet", f, "perona-malik", 5, 0.25)
+        self.expect(report, f, states, _lipschitz(phi, f), 0.25)
+        np.testing.assert_array_equal(out, states[-1].values)
+
+    @pytest.mark.parametrize("method", ("diffusion --time", "diffusion", "wavelet", "resnet"))
+    def test_no_steps_report_no_steps(self, tmp_path, method):
+        sig, out = tmp_path / "f.csv", tmp_path / "o.csv"
+        main(["generate", "--kind", "sine", "--n", "16", "--out", str(sig)])
+        args = ["denoise", "--method", method.split()[0], "--input", str(sig), "--out", str(out)]
+        args += ["--time", "0"] if "--time" in method else ["--steps", "0"]
+        assert main(args) == 0
+        report = _report(str(out) + ".report")
+        assert report["steps"] == "0"
+        assert report["sign_changes_per_step"] == ""
+        assert report["sign_changes_out"] == report["sign_changes_in"]
+        assert report["worst_overshoot"] == "0"
+        assert report["range_ok"] == "true"
+        assert out.read_bytes() == sig.read_bytes()

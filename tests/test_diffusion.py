@@ -127,6 +127,12 @@ class TestDiffuse:
             _, plan = diffuse(f, phi, k * tau_max, StepSizeMode.MAXMIN)
             assert plan.tau <= tau_max
 
+    def test_tiny_time_takes_one_step(self):
+        """T/tau_max underflows to 0 here; the plan still takes one step."""
+        f = Signal1D([0.0, 1.0, 0.0], h=10.0)
+        _, plan = diffuse(f, phi_of(Family.CONSTANT), 5e-324, StepSizeMode.MAXMIN)
+        assert plan.steps == 1 and plan.tau == 5e-324
+
     def test_long_time_converges_to_mean(self):
         f = Signal1D([0.3, -0.7, 1.4, 0.2, 0.9])
         out, _ = diffuse(f, phi_of(Family.CONSTANT), 1e6, StepSizeMode.MAXMIN)
