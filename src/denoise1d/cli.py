@@ -38,7 +38,6 @@ from .shrinkage import _require_unit_grid, _shrink_states
 from .shrinkage import iterate_shrinkage  # noqa: F401  traced by name (bench/tracing.py)
 from .signals import Signal1D
 from .stability import _observe, analyze
-from .variational import EnergySpec, _check_step
 from .variational import minimize_by_diffusion  # noqa: F401  traced by name (bench/tracing.py)
 
 _METHODS = ("diffusion", "wavelet", "variational", "resnet")
@@ -101,14 +100,13 @@ class RunConfig:
             raise UsageError(f"{self.method} needs --steps >= {least}, got {self.steps}")
 
 
-def generate_signal(kind: str, n: int, params=None, seed=None) -> Signal1D:
+def generate_signal(kind: str, n: int, params=None) -> Signal1D:
     """Deterministic test signals.
 
     step: 0 for i < N//2, then 1.  spike: single 1 at index N//2.
     sine: sin(2*pi*i/N).  piecewise: constant levels (default
     0, 1, 0.25, 0.75) over equal segments; params may override the
-    levels.  The seed is accepted for interface symmetry; all four
-    shapes are deterministic.
+    levels.
     """
     if n < 1:
         raise UsageError(f"need at least one sample, got N = {n!r}")
@@ -191,7 +189,8 @@ def _denoise_signal(config: RunConfig, f: Signal1D):
 
     ``states`` yields the state after each step or block as it is
     taken, so a caller runs the steps once however it observes them.
-    L is the run's one Lipschitz estimate: the one its guard used.
+    L is the run's one Lipschitz estimate.  Every ``--steps`` method
+    has the one guard: tau against the ``mode`` bound for L of its phi.
     """
     spec = config.family
     phi = make_role_function(spec, Role.ACTIVATION)
@@ -205,32 +204,21 @@ def _denoise_signal(config: RunConfig, f: Signal1D):
         return _states(f.values, phi, tau, m, f.h), tau, L
 
     if config.method == "wavelet":
-        shrink = translate(phi, Role.SHRINKAGE, config.coupling)
         _require_unit_grid(f.h)
-        return _shrink_states(f.values, shrink.evaluator, m), tau, _lipschitz(phi, f)
-
-    if config.method == "variational":
-        # Steps of the given tau, guarded as minimize_by_diffusion guards
-        # alpha/m, which can round one ulp above it.
-        psi = make_role_function(spec, Role.REGULARISER)
-        phi = translate(psi, Role.ACTIVATION)
-        L = _lipschitz(phi, f)
-        try:
-            energy = EnergySpec(psi=psi, alpha=m * tau)
-            _check_step(L, f.h, energy.alpha, tau)
-        except ValueError as exc:
-            raise StabilityViolation(str(exc)) from None
-        return _states(f.values, phi, tau, m, f.h), tau, L
-
+    elif config.method == "variational":
+        phi = translate(make_role_function(spec, Role.REGULARISER), Role.ACTIVATION)
     L = _lipschitz(phi, f)
     bound = max_stable_tau(L, f.h, config.mode)
     if tau > bound:
         raise StabilityViolation(
             f"tau = {tau:g} violates the {config.mode.value} bound {bound:g} (L = {L:g})"
         )
-    if config.method == "diffusion":
-        return _states(f.values, phi, tau, m, f.h), tau, L
-    return _chain_states([make_diffusion_block(phi, tau, f.h)] * m, f.values), tau, L
+    if config.method == "wavelet":
+        shrink = translate(phi, Role.SHRINKAGE, config.coupling)
+        return _shrink_states(f.values, shrink.evaluator, m), tau, L
+    if config.method == "resnet":
+        return _chain_states([make_diffusion_block(phi, tau, f.h)] * m, f.values), tau, L
+    return _states(f.values, phi, tau, m, f.h), tau, L
 
 
 def run(config: RunConfig) -> int:
@@ -251,7 +239,7 @@ def run(config: RunConfig) -> int:
 
 def _cmd_generate(args):
     params = tuple(float(s) for s in args.levels.split(",")) if args.levels else None
-    u = generate_signal(args.kind, args.n, params, args.seed)
+    u = generate_signal(args.kind, args.n, params)
     write_signal_csv(args.out, u)
     return 0
 
@@ -269,7 +257,7 @@ def _cmd_denoise(args):
     config = RunConfig(
         method=args.method,
         family=_family_spec(args),
-        coupling=CouplingParams(tau=args.tau, alpha=args.alpha, h=1.0),
+        coupling=CouplingParams(tau=args.tau),
         input_path=args.input,
         output_path=args.out,
         stopping_time=args.time,
@@ -322,7 +310,7 @@ def _cmd_compare(args):
     f = read_signal_csv(args.input)
     if f.h != 1.0:
         raise UsageError("compare requires grid size h = 1 (wavelet pairing)")
-    coupling = CouplingParams(tau=args.tau, alpha=args.tau, h=1.0)
+    coupling = CouplingParams(tau=args.tau)
     outputs = {}
     for name in _METHODS:
         config = RunConfig(method=name, family=spec, coupling=coupling, input_path=args.input,
@@ -375,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=("step", "sine", "piecewise", "spike"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--levels", default=None, help="comma-separated piecewise levels")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_generate)
 
@@ -392,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time", type=float, default=None, help="diffusion stopping time")
     p.add_argument("--steps", type=int, default=None, help="explicit step / block count")
     p.add_argument("--tau", type=float, default=0.25)
-    p.add_argument("--alpha", type=float, default=0.25)
     p.add_argument("--mode", default="sign-stable", choices=("maxmin", "sign-stable"))
     p.add_argument("--report", default=None, help="write a stability report here")
     _add_family_flags(p)

@@ -525,5 +525,7 @@ def estimate_lipschitz(f: RoleFunction, r_max: float, samples: int = 1_000_001) 
     if samples < 2:
         raise ValueError("need at least two samples")
     x = np.linspace(-r_max, r_max, int(samples))
+    if not np.diff(x).all():  # a subnormal r_max rounds neighbouring samples together
+        x = np.unique(x)
     y = f.evaluator(x)
     return float(np.max(np.abs(np.diff(y) / np.diff(x))))

@@ -131,13 +131,14 @@ def _observe(f, states, L, tau, slack=1e-12):
     x = f.values
     for k, x in enumerate(states, 1):
         counts.append(_count_sign_changes(x))
-        above = x > hi + slack
-        below = x < lo - slack
-        if above.any() or below.any():
-            for i in np.flatnonzero(above | below):
+        top = float(np.max(x))
+        bottom = float(np.min(x))
+        # Masks only for a state out of range; the negation catches NaN.
+        if not (top <= hi + slack and bottom >= lo - slack):
+            for i in np.flatnonzero((x > hi + slack) | (x < lo - slack)):
                 if len(violations) < _MAX_RECORDED_VIOLATIONS:
                     violations.append((k, int(i), float(x[i])))
-        worst = max(worst, float(np.max(x)) - hi, lo - float(np.min(x)))
+        worst = max(worst, top - hi, lo - bottom)
     worst = max(worst, 0.0)
     report = StabilityReport(
         lipschitz=L,

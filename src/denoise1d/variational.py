@@ -89,19 +89,13 @@ def minimize_by_diffusion(f: Signal1D, spec: EnergySpec, m: int) -> Signal1D:
         raise ValueError(f"need at least one step, got m = {m!r}")
     phi = translate(spec.psi, Role.ACTIVATION)
     tau = spec.alpha / m
-    _check_step(_lipschitz(phi, f), f.h, spec.alpha, tau)
-    return Signal1D._wrap(_last(_states(f.values, phi, tau, m, f.h), None), f.h)
-
-
-def _check_step(L, h, alpha, tau):
-    # The max-min guard of minimize_by_diffusion on a step tau for alpha.
-    tau_max = max_stable_tau(L, h, StepSizeMode.MAXMIN)
+    tau_max = max_stable_tau(_lipschitz(phi, f), f.h, StepSizeMode.MAXMIN)
     if tau > tau_max:
-        m_min = int(math.ceil(alpha / tau_max))
         raise ValueError(
             f"tau = alpha/m = {tau:g} exceeds the stability bound {tau_max:g}; "
-            f"use m >= {m_min}"
+            f"use m >= {int(math.ceil(spec.alpha / tau_max))}"
         )
+    return Signal1D._wrap(_last(_states(f.values, phi, tau, m, f.h), None), f.h)
 
 
 def tikhonov_solve_oracle(f: Signal1D, alpha: float) -> Signal1D:

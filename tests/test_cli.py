@@ -497,18 +497,32 @@ class TestReportComesFromTheRun:
         return _report(str(out) + ".report"), read_signal_csv(out).values
 
     def test_wavelet_reports_its_own_steps(self, tmp_path):
+        f = Signal1D(np.where(np.arange(50) > 24, 1.0, 0.0))
+        phi = make_role_function(FamilySpec(Family.TRUNCATED_QUADRATIC), Role.ACTIVATION)
+        L = _lipschitz(phi, f)
+        tau = max_stable_tau(L, 1.0, StepSizeMode.MAXMIN)
+        shrink = translate(phi, Role.SHRINKAGE, CouplingParams(tau=tau))
+        report, out = self.run(tmp_path, "wavelet", f, "truncated-quadratic", 7, tau)
+        states = [iterate_shrinkage(f, shrink, k) for k in range(1, 8)]
+        self.expect(report, f, states, L, tau)
+        np.testing.assert_array_equal(out, states[-1].values)
+
+    def test_shrinkage_parts_from_diffusion_beyond_the_bound(self, tmp_path):
         # Beyond the bound the shrinkage states and the diffusion states
-        # part by rounding, and the sign-change counts tell them apart.
+        # part by rounding, and the sign-change counts tell them apart;
+        # the CLI refuses such a tau for wavelet as for every method.
         f = Signal1D(np.where(np.arange(50) > 24, 1.0, 0.0))
         phi = make_role_function(FamilySpec(Family.TRUNCATED_QUADRATIC), Role.ACTIVATION)
         shrink = translate(phi, Role.SHRINKAGE, CouplingParams(tau=0.75))
-        report, out = self.run(tmp_path, "wavelet", f, "truncated-quadratic", 7, 0.75)
-        states = [iterate_shrinkage(f, shrink, k) for k in range(1, 8)]
-        self.expect(report, f, states, _lipschitz(phi, f), 0.75)
-        np.testing.assert_array_equal(out, states[-1].values)
-        assert report["sign_changes_per_step"] != ",".join(
-            str(count_sign_changes(Signal1D(_last(_states(f.values, phi, 0.75, k, 1.0), None))))
-            for k in range(1, 8))
+        assert [count_sign_changes(iterate_shrinkage(f, shrink, k)) for k in range(1, 8)] != [
+            count_sign_changes(Signal1D(_last(_states(f.values, phi, 0.75, k, 1.0), None)))
+            for k in range(1, 8)]
+        sig, out = tmp_path / "f.csv", tmp_path / "o.csv"
+        write_signal_csv(sig, f)
+        assert main(["denoise", "--method", "wavelet", "--input", str(sig), "--out", str(out),
+                     "--family", "truncated-quadratic", "--steps", "7", "--tau", "0.75",
+                     "--mode", "maxmin"]) == 3
+        assert not out.exists()
 
     def test_variational_reports_its_own_steps(self, tmp_path):
         f = generate_signal("piecewise", 40)
@@ -542,3 +556,65 @@ class TestReportComesFromTheRun:
         assert report["worst_overshoot"] == "0"
         assert report["range_ok"] == "true"
         assert out.read_bytes() == sig.read_bytes()
+
+
+class TestOneGuard:
+    """Every --steps method checks --tau against the --mode bound for L."""
+
+    @pytest.fixture
+    def signal(self, tmp_path):
+        sig = tmp_path / "f.csv"
+        main(["generate", "--kind", "piecewise", "--n", "31", "--out", str(sig)])
+        return sig
+
+    @staticmethod
+    def bound(method, sig, mode):
+        spec = FamilySpec(Family.PERONA_MALIK)
+        phi = make_role_function(spec, Role.ACTIVATION)
+        if method == "variational":
+            phi = translate(make_role_function(spec, Role.REGULARISER), Role.ACTIVATION)
+        L = _lipschitz(phi, read_signal_csv(sig))
+        return L, max_stable_tau(L, 1.0, StepSizeMode(mode))
+
+    @staticmethod
+    def denoise(method, sig, out, tau, mode):
+        return main(["denoise", "--method", method, "--input", str(sig), "--out", str(out),
+                     "--family", "perona-malik", "--steps", "3", "--tau", repr(tau),
+                     "--mode", mode])
+
+    @pytest.mark.parametrize("mode", ("maxmin", "sign-stable"))
+    @pytest.mark.parametrize("method", METHODS)
+    def test_one_ulp_above_the_bound_exits_3(self, tmp_path, capsys, signal, method, mode):
+        L, bound = self.bound(method, signal, mode)
+        tau = float(np.nextafter(bound, np.inf))
+        out = tmp_path / "o.csv"
+        assert self.denoise(method, signal, out, tau, mode) == 3
+        assert capsys.readouterr().err == (
+            f"stability violation: tau = {tau:g} violates the {mode} bound {bound:g} "
+            f"(L = {L:g})\n")
+        assert not out.exists()
+        assert not (tmp_path / "o.csv.report").exists()
+
+    @pytest.mark.parametrize("mode", ("maxmin", "sign-stable"))
+    @pytest.mark.parametrize("method", METHODS)
+    def test_on_the_bound_exits_0(self, tmp_path, signal, method, mode):
+        _, bound = self.bound(method, signal, mode)
+        out = tmp_path / "o.csv"
+        assert self.denoise(method, signal, out, bound, mode) == 0
+        assert float(_report(str(out) + ".report")["tau_used"]) == bound
+
+
+class TestIgnoredFlagsAreGone:
+    def test_denoise_alpha_is_a_usage_error(self, tmp_path):
+        sig = tmp_path / "f.csv"
+        main(["generate", "--kind", "step", "--n", "8", "--out", str(sig)])
+        assert main(["denoise", "--method", "variational", "--input", str(sig),
+                     "--out", str(tmp_path / "o.csv"), "--steps", "2",
+                     "--alpha", "0.5"]) == 1
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_generate_seed_is_a_usage_error(self, tmp_path):
+        out = tmp_path / "f.csv"
+        assert main(["generate", "--kind", "step", "--n", "8", "--seed", "1",
+                     "--out", str(out)]) == 1
+        assert not out.exists()

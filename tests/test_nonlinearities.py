@@ -205,6 +205,12 @@ class TestLipschitz:
         phi = make_role_function(spec_of(Family.TRUNCATED_TV), Role.ACTIVATION)
         assert estimate_lipschitz(phi, 10.0, 100_001) == 1.0
 
+    @pytest.mark.parametrize("r_max", (5e-324, 1e-320, 1e-318))
+    def test_subnormal_range(self, r_max):
+        """Samples that round together are merged, not divided by zero."""
+        phi = make_role_function(spec_of(Family.TRUNCATED_QUADRATIC), Role.ACTIVATION)
+        assert estimate_lipschitz(phi, r_max, 200_001) == 1.0
+
     def test_role_and_argument_validation(self):
         g = make_role_function(spec_of(Family.CONSTANT), Role.DIFFUSIVITY)
         with pytest.raises(ValueError):
