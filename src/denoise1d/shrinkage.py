@@ -9,8 +9,12 @@ zero wavelet coefficient at the ends) gives one shift-invariant step.
 
 The step is implemented twice: a closed-form update used everywhere,
 and the literal analyse/shrink/synthesise/average path kept as an
-independent cross-check of the algebra.  Grid size 1 is required; the
-pairing of neighbouring samples has no scale parameter.
+independent cross-check of the algebra.  The closed form evaluates the
+shrinkage function once per interface, on the N values fd/sqrt(2): the
+backward difference is the forward difference shifted by one, and the
+clamped forward difference is zero at the right wall, so its last
+value S(0) is also the wall value the backward side needs.  Grid size 1
+is required; the pairing of neighbouring samples has no scale parameter.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from .diffusion import _last
 from .nonlinearities import SQRT2, Role, RoleFunction
-from .signals import Signal1D, _bdiff, _fdiff
+from .signals import Signal1D, _fdiff
 
 
 @dataclass(frozen=True)
@@ -50,11 +54,20 @@ def _shift_invariant_values(x, ev):
     # Closed form of the cycle-spun step:
     #   u + (fd - bd)/4 + (S(bd/sqrt2) - S(fd/sqrt2)) / (2 sqrt2)
     # with clamped differences, which is exactly the average of each
-    # sample's two pair reconstructions.
+    # sample's two pair reconstructions.  S is evaluated once per
+    # interface, on fd/sqrt2: bd is fd shifted right by one behind a zero
+    # wall, and fd[-1] = 0, so s[-1] = S(0) is the wall value and
+    # S(bd/sqrt2) = (s[-1], s[0], ..., s[-2]).  Each entry below is the
+    # same scalar subtraction as in fd - bd and S(bd/sqrt2) - S(fd/sqrt2).
     fd = _fdiff(x, 1.0)
-    bd = _bdiff(x, 1.0)
-    shrunk = ev(np.stack((bd, fd)) / SQRT2)
-    return x + 0.25 * (fd - bd) + (shrunk[0] - shrunk[1]) / (2.0 * SQRT2)
+    s = ev(fd / SQRT2)
+    d = np.empty_like(fd)  # fd - bd
+    d[0] = fd[0]
+    np.subtract(fd[1:], fd[:-1], out=d[1:])
+    e = np.empty_like(s)  # S(bd/sqrt2) - S(fd/sqrt2)
+    e[0] = s[-1] - s[0]
+    np.subtract(s[:-1], s[1:], out=e[1:])
+    return x + 0.25 * d + e / (2.0 * SQRT2)
 
 
 def _shift_invariant_by_pairs(x, ev):

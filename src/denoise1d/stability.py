@@ -9,6 +9,7 @@ scaling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,11 +78,19 @@ def count_sign_changes(u: Signal1D) -> int:
     return _count_sign_changes(u.values)
 
 
+def _overshoot(worst, top, bottom, lo, hi):
+    # Python's max drops a NaN that is not its first argument, so a state
+    # holding NaN (np.max and np.min propagate it) is made to give NaN,
+    # which stays NaN in later calls and fails every bound.
+    return math.nan if math.isnan(top) else max(worst, top - hi, lo - bottom)
+
+
 def check_range_preservation(f: Signal1D, trajectory, slack: float = 1e-12):
     """Whether every state stays inside [min f - slack, max f + slack].
 
     Returns (ok, worst_overshoot); the overshoot is the largest excursion
-    beyond the input range, zero if there is none.
+    beyond the input range, zero if there is none, and NaN once a state
+    holds NaN, which counts as out of range.
     """
     states = list(trajectory)
     if not states:
@@ -93,7 +102,7 @@ def check_range_preservation(f: Signal1D, trajectory, slack: float = 1e-12):
         x = state.values
         if x.size != len(f):
             raise ValueError("trajectory states must match the input length")
-        worst = max(worst, float(np.max(x)) - hi, lo - float(np.min(x)))
+        worst = _overshoot(worst, float(np.max(x)), float(np.min(x)), lo, hi)
     worst = max(worst, 0.0)
     return worst <= slack, worst
 
@@ -133,12 +142,12 @@ def _observe(f, states, L, tau, slack=1e-12):
         counts.append(_count_sign_changes(x))
         top = float(np.max(x))
         bottom = float(np.min(x))
-        # Masks only for a state out of range; the negation catches NaN.
+        # Masks only for a state out of range; the negations catch NaN.
         if not (top <= hi + slack and bottom >= lo - slack):
-            for i in np.flatnonzero((x > hi + slack) | (x < lo - slack)):
+            for i in np.flatnonzero(~((x <= hi + slack) & (x >= lo - slack))):
                 if len(violations) < _MAX_RECORDED_VIOLATIONS:
                     violations.append((k, int(i), float(x[i])))
-        worst = max(worst, top - hi, lo - bottom)
+        worst = _overshoot(worst, top, bottom, lo, hi)
     worst = max(worst, 0.0)
     report = StabilityReport(
         lipschitz=L,

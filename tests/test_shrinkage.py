@@ -22,7 +22,9 @@ from denoise1d import (
     translate,
     user_role_function,
 )
+from denoise1d.nonlinearities import SQRT2 as _SQRT2
 from denoise1d.shrinkage import _shift_invariant_by_pairs, _shift_invariant_values
+from denoise1d.signals import _bdiff, _fdiff
 
 SQRT2 = math.sqrt(2.0)
 COUPLING = CouplingParams(tau=0.25, alpha=0.25, h=1.0)
@@ -116,6 +118,81 @@ class TestShiftInvariantStep:
                     rtol=0,
                     atol=1e-14,
                 )
+
+
+def _two_evaluation_reference(x, ev):
+    # The closed form as it was when S was evaluated on both difference
+    # arrays (2N values per step); kept verbatim as the reference.
+    fd = _fdiff(x, 1.0)
+    bd = _bdiff(x, 1.0)
+    shrunk = ev(np.stack((bd, fd)) / _SQRT2)
+    return x + 0.25 * (fd - bd) + (shrunk[0] - shrunk[1]) / (2.0 * _SQRT2)
+
+
+def assert_bit_identical(a, b):
+    # Compares the bit patterns, so signed zeros count.
+    assert a.dtype == b.dtype == np.float64
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def translated_shrink(family, tau):
+    phi = make_role_function(FamilySpec(family), Role.ACTIVATION)
+    return translate(phi, Role.SHRINKAGE, CouplingParams(tau=tau))
+
+
+# S(0) != 0, so the wall value taken from the last interface is pinned.
+S_OFFSET = user_role_function(Role.SHRINKAGE, lambda r: r + 0.3, "offset")
+
+
+class _CountingEvaluator:
+    # Records the number of values asked for in each call.
+    def __init__(self, ev):
+        self.ev = ev
+        self.sizes = []
+
+    def __call__(self, r):
+        self.sizes.append(np.size(r))
+        return self.ev(r)
+
+
+class TestOneEvaluationPerInterface:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(ALL_FAMILIES),
+        st.sampled_from((0.1, 0.25, 0.5)),
+        st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=64),
+    )
+    def test_bit_identical_to_two_evaluations(self, family, tau, values):
+        x = np.array(values, dtype=np.float64)
+        ev = translated_shrink(family, tau).evaluator
+        assert_bit_identical(_shift_invariant_values(x, ev), _two_evaluation_reference(x, ev))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=64))
+    def test_wall_value_with_nonzero_s0(self, values):
+        x = np.array(values, dtype=np.float64)
+        ev = S_OFFSET.evaluator
+        assert_bit_identical(_shift_invariant_values(x, ev), _two_evaluation_reference(x, ev))
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_bit_identical_at_two_to_the_twenty(self, family):
+        rng = np.random.default_rng(zlib.crc32(family.value.encode()))
+        x = rng.uniform(-4.0, 4.0, 2**20)
+        ev = translated_shrink(family, 0.25).evaluator
+        assert_bit_identical(_shift_invariant_values(x, ev), _two_evaluation_reference(x, ev))
+
+    @pytest.mark.parametrize("n", [1, 2, 17])
+    def test_step_asks_for_n_values_once(self, n):
+        counter = _CountingEvaluator(shrink_of(Family.PERONA_MALIK).evaluator)
+        u = Signal1D(np.linspace(0.0, 1.0, n) ** 2)
+        shift_invariant_step(u, user_role_function(Role.SHRINKAGE, counter))
+        assert counter.sizes == [n]
+
+    def test_iteration_asks_for_m_times_n_values(self):
+        counter = _CountingEvaluator(shrink_of(Family.CHARBONNIER).evaluator)
+        f = Signal1D(np.random.default_rng(10).uniform(-1, 1, 23))
+        iterate_shrinkage(f, user_role_function(Role.SHRINKAGE, counter), 7)
+        assert sum(counter.sizes) == 7 * 23
 
 
 class TestDiffusionEquivalence:

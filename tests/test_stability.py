@@ -1,3 +1,4 @@
+import math
 import zlib
 
 import numpy as np
@@ -14,6 +15,7 @@ from denoise1d import (
     explicit_step,
     make_role_function,
 )
+from denoise1d.stability import _MAX_RECORDED_VIOLATIONS, _observe
 
 ALL_FAMILIES = tuple(Family)
 
@@ -80,6 +82,38 @@ class TestRangePreservation:
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):
             check_range_preservation(Signal1D([0.0]), [])
+
+    def test_nan_state_is_out_of_range(self):
+        f, u = _nan_step()
+        ok, worst = check_range_preservation(f, [f, u, f])
+        assert not ok
+        assert math.isnan(worst)
+
+
+def _nan_step():
+    # The Perona-Malik step of a finite +-1e308 signal overflows to NaN.
+    f = Signal1D([-1e308, 1e308, 0.0])
+    with np.errstate(all="ignore"):
+        u = explicit_step(f, phi_of(Family.PERONA_MALIK), 0.1)
+    assert np.isnan(u.values[:2]).all() and u.values[2] == 0.0
+    return f, u
+
+
+class TestObserveNaN:
+    def test_nan_state_is_reported(self):
+        f, u = _nan_step()
+        report, last = _observe(f, [u.values, f.values], 1.0, 0.1)
+        assert last is f.values
+        assert not report.range_ok
+        assert math.isnan(report.worst_overshoot)
+        assert [(k, i) for k, i, _ in report.violations] == [(1, 0), (1, 1)]
+        assert all(math.isnan(v) for _, _, v in report.violations)
+
+    def test_nan_violations_are_capped(self):
+        x = np.full(_MAX_RECORDED_VIOLATIONS + 5, np.nan)
+        report, _ = _observe(Signal1D(np.zeros(x.size)), [x], 1.0, 0.1)
+        assert not report.range_ok
+        assert len(report.violations) == _MAX_RECORDED_VIOLATIONS
 
 
 class TestAnalyze:
