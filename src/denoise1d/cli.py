@@ -42,6 +42,11 @@ from .variational import minimize_by_diffusion  # noqa: F401  traced by name (be
 
 _METHODS = ("diffusion", "wavelet", "variational", "resnet")
 
+# Most steps or blocks one run may take.  Every step is observed for the
+# report, so a run past it (a flat input diffused to T = 1e9 plans 4e9
+# steps) exits 3 before it takes a step or writes a file, not hangs.
+_STEP_BUDGET = 10_000_000
+
 _ROLE_NAMES = {
     "diffusivity": Role.DIFFUSIVITY,
     "regulariser": Role.REGULARISER,
@@ -184,6 +189,11 @@ def _noise_model(args) -> NoiseModel:
     return NoiseModel(kind=args.noise, level=level)
 
 
+def _check_budget(m):
+    if m > _STEP_BUDGET:
+        raise StabilityViolation(f"the run needs m = {m} steps, above the budget of {_STEP_BUDGET}")
+
+
 def _denoise_signal(config: RunConfig, f: Signal1D):
     """Plan one method's run on f; returns (states, tau, L).
 
@@ -191,6 +201,7 @@ def _denoise_signal(config: RunConfig, f: Signal1D):
     taken, so a caller runs the steps once however it observes them.
     L is the run's one Lipschitz estimate.  Every ``--steps`` method
     has the one guard: tau against the ``mode`` bound for L of its phi.
+    No run may take more than ``_STEP_BUDGET`` steps.
     """
     spec = config.family
     phi = make_role_function(spec, Role.ACTIVATION)
@@ -201,8 +212,10 @@ def _denoise_signal(config: RunConfig, f: Signal1D):
         if config.method != "diffusion":
             raise UsageError(f"method {config.method!r} needs --steps, not --time")
         L, tau, m = _schedule(f, phi, config.stopping_time, config.mode)
+        _check_budget(m)
         return _states(f.values, phi, tau, m, f.h), tau, L
 
+    _check_budget(m)
     if config.method == "wavelet":
         _require_unit_grid(f.h)
     elif config.method == "variational":
@@ -291,6 +304,7 @@ def _cmd_stability(args):
     spec = _family_spec(args)
     f = read_signal_csv(args.input)
     phi = make_role_function(spec, Role.ACTIVATION)
+    _check_budget(args.steps)
     report = analyze(f, phi, args.tau, args.steps)
     lines = report.to_lines()
     print("\n".join(lines))

@@ -10,9 +10,12 @@ into.  This module provides
   role formulas, and
 * :func:`translate`, which converts a function of one role into any
   other role.  Conversions that require an antiderivative use composite
-  Simpson quadrature; conversions that require ``psi'`` use an analytic
-  derivative when the source is a closed-form family and a central
-  difference otherwise.
+  Simpson quadrature.  Conversions that require ``psi'`` use
+  ``psi' = 2 phi``, built from the family's activation, when the source
+  is a closed-form regulariser, and a central difference otherwise.
+  Every cell that touches shrinkage consumes one coupling constant
+  (``alpha`` with the regulariser, ``tau`` otherwise) and scales the
+  breakpoints by sqrt(2).
 
 Evaluators are numpy-vectorised, pure, and reentrant.
 """
@@ -146,12 +149,12 @@ def user_role_function(role, func, name="user-supplied"):
 
 
 def _constant_formulas(spec):
-    return {
-        Role.DIFFUSIVITY: lambda r: np.ones_like(r),
-        Role.REGULARISER: lambda r: r * r,
-        Role.SHRINKAGE: lambda r: np.zeros_like(r),
-        Role.ACTIVATION: lambda r: r + 0.0,
-    }, (lambda r: 2.0 * r), ()
+    return (
+        lambda r: np.ones_like(r),
+        lambda r: r * r,
+        lambda r: np.zeros_like(r),
+        lambda r: r + 0.0,
+    ), ()
 
 
 def _charbonnier_formulas(spec):
@@ -169,15 +172,7 @@ def _charbonnier_formulas(spec):
     def phi(r):
         return r / np.sqrt(1.0 + r * r / lam2)
 
-    def dpsi(r):
-        return 2.0 * r / np.sqrt(1.0 + r * r / lam2)
-
-    return {
-        Role.DIFFUSIVITY: g,
-        Role.REGULARISER: psi,
-        Role.SHRINKAGE: shrink,
-        Role.ACTIVATION: phi,
-    }, dpsi, ()
+    return (g, psi, shrink, phi), ()
 
 
 def _truncated_tv_formulas(spec):
@@ -199,15 +194,7 @@ def _truncated_tv_formulas(spec):
     def phi(r):
         return np.where(np.abs(r) <= s2t, r, s2t * np.sign(r))
 
-    def dpsi(r):
-        return np.where(np.abs(r) <= s2t, 2.0 * r, 2.0 * s2t * np.sign(r))
-
-    return {
-        Role.DIFFUSIVITY: g,
-        Role.REGULARISER: psi,
-        Role.SHRINKAGE: shrink,
-        Role.ACTIVATION: phi,
-    }, dpsi, (s2t, s2t, th, s2t)
+    return (g, psi, shrink, phi), (s2t, s2t, th, s2t)
 
 
 def _perona_malik_formulas(spec):
@@ -225,15 +212,7 @@ def _perona_malik_formulas(spec):
     def phi(r):
         return r * np.exp(-r * r / (2.0 * lam2))
 
-    def dpsi(r):
-        return 2.0 * r * np.exp(-r * r / (2.0 * lam2))
-
-    return {
-        Role.DIFFUSIVITY: g,
-        Role.REGULARISER: psi,
-        Role.SHRINKAGE: shrink,
-        Role.ACTIVATION: phi,
-    }, dpsi, ()
+    return (g, psi, shrink, phi), ()
 
 
 def _truncated_bfb_formulas(spec):
@@ -261,17 +240,7 @@ def _truncated_bfb_formulas(spec):
         safe = np.where(a > s2t, r, 1.0)
         return np.where(a <= s2t, r, 2.0 * th2 / safe)
 
-    def dpsi(r):
-        a = np.abs(r)
-        safe = np.where(a > s2t, r, 1.0)
-        return np.where(a <= s2t, 2.0 * r, 4.0 * th2 / safe)
-
-    return {
-        Role.DIFFUSIVITY: g,
-        Role.REGULARISER: psi,
-        Role.SHRINKAGE: shrink,
-        Role.ACTIVATION: phi,
-    }, dpsi, (s2t, s2t, th, s2t)
+    return (g, psi, shrink, phi), (s2t, s2t, th, s2t)
 
 
 def _truncated_quadratic_formulas(spec):
@@ -290,15 +259,7 @@ def _truncated_quadratic_formulas(spec):
     def phi(r):
         return np.where(np.abs(r) <= s2t, r, 0.0)
 
-    def dpsi(r):
-        return np.where(np.abs(r) <= s2t, 2.0 * r, 0.0)
-
-    return {
-        Role.DIFFUSIVITY: g,
-        Role.REGULARISER: psi,
-        Role.SHRINKAGE: shrink,
-        Role.ACTIVATION: phi,
-    }, dpsi, (s2t, s2t, th, s2t)
+    return (g, psi, shrink, phi), (s2t, s2t, th, s2t)
 
 
 _FAMILY_BUILDERS = {
@@ -310,23 +271,23 @@ _FAMILY_BUILDERS = {
     Family.TRUNCATED_QUADRATIC: _truncated_quadratic_formulas,
 }
 
-# Order of the per-role breakpoint tuples returned by the builders.
-_BREAK_ORDER = (Role.DIFFUSIVITY, Role.REGULARISER, Role.SHRINKAGE, Role.ACTIVATION)
-
 
 def make_role_function(spec: FamilySpec, role: Role) -> RoleFunction:
-    """Build the closed-form RoleFunction of a family in the given role."""
-    formulas, dpsi, breaks = _FAMILY_BUILDERS[spec.family](spec)
-    if breaks:
-        bp = (breaks[_BREAK_ORDER.index(role)],)
-    else:
-        bp = ()
+    """Build the closed-form RoleFunction of a family in the given role.
+
+    A builder returns its four formulas, and its breakpoints if it has
+    any, in the order of :class:`Role`.  A regulariser carries
+    ``psi' = 2 phi`` from the family's own activation as its derivative.
+    """
+    formulas, breaks = _FAMILY_BUILDERS[spec.family](spec)
+    i = list(Role).index(role)
+    phi = formulas[-1]
     return RoleFunction(
         role=role,
-        evaluator=formulas[role],
+        evaluator=formulas[i],
         provenance=(f"closed-form:{spec.label()}", role.value),
-        derivative=dpsi if role is Role.REGULARISER else None,
-        breakpoints=bp,
+        derivative=(lambda r: 2.0 * phi(r)) if role is Role.REGULARISER else None,
+        breakpoints=breaks[i : i + 1],
     )
 
 
@@ -403,110 +364,85 @@ def _ratio_with_limit(numer, r):
 # ---------------------------------------------------------------------------
 
 
-def _require(coupling, name):
+def _coupling(f, to, coupling):
+    # The constant the cell f.role -> to consumes, and f's record of
+    # consumed constants with it added: alpha between regulariser and
+    # shrinkage, tau between shrinkage and any other role, none for a
+    # cell that does not touch shrinkage.
+    ends = {f.role, to}
+    if Role.SHRINKAGE not in ends:
+        return None, f.constants
+    name = "alpha" if Role.REGULARISER in ends else "tau"
     if coupling is None:
         raise ValueError(f"translation requires coupling.{name}")
-    return getattr(coupling, name)
-
-
-def _check_constants(consumed, name, value):
+    value = getattr(coupling, name)
     other = "alpha" if name == "tau" else "tau"
-    for prev_name, prev_value in consumed:
+    for prev_name, prev_value in f.constants:
         if prev_name == other and prev_value != value:
             raise ValueError(
                 f"translation chain mixes {prev_name}={prev_value!r} with "
                 f"{name}={value!r}; the step and regularisation constants "
                 "must be equal when a chain uses both"
             )
-    return consumed + ((name, value),)
+    return value, f.constants + ((name, value),)
 
 
 def translate(f: RoleFunction, to: Role, coupling: CouplingParams = None) -> RoleFunction:
     """Translate a nonlinearity into another role.
 
     Implements the full 4x4 dictionary; the diagonal is the identity.
+    Three rules hold for every cell:
+
+    * a cell between regulariser and shrinkage consumes ``alpha``, any
+      other cell that touches shrinkage consumes ``tau``, and the rest
+      consume no constant; a chain may not mix unequal tau and alpha;
+    * breakpoints are divided by sqrt(2) into shrinkage, multiplied by
+      sqrt(2) out of it, and kept otherwise;
+    * ``psi'`` is the regulariser's own derivative (``2 phi`` for the
+      closed-form families), or a central difference when it has none.
+
     Antiderivatives are evaluated by quadrature (see
-    :func:`integral_from_zero`); the regulariser derivative uses the
-    analytic form carried by closed-form regularisers and a central
-    difference otherwise.  Ratio cells handle the removable singularity
-    at r = 0 via the symmetric difference-quotient limit.
+    :func:`integral_from_zero`).  Ratio cells handle the removable
+    singularity at r = 0 via the symmetric difference-quotient limit.
     """
     if to is f.role:
         return f
 
+    c, consumed = _coupling(f, to, coupling)
+    if to is Role.SHRINKAGE:
+        bp = tuple(b / SQRT2 for b in f.breakpoints)
+    elif f.role is Role.SHRINKAGE:
+        bp = tuple(b * SQRT2 for b in f.breakpoints)
+    else:
+        bp = f.breakpoints
     e = f.evaluator
-    bp = f.breakpoints
-    consumed = f.constants
-    src = f.role
+    dpsi = f.derivative or (lambda r: central_derivative(e, r))
 
-    if src is Role.REGULARISER:
-        dpsi = f.derivative if f.derivative is not None else (
-            lambda r: central_derivative(e, r)
-        )
-
-    if src is Role.DIFFUSIVITY:
-        if to is Role.REGULARISER:
-            ev = lambda r: 2.0 * integral_from_zero(lambda x: e(x) * x, r, bp)
-            new_bp = bp
-        elif to is Role.SHRINKAGE:
-            tau = _require(coupling, "tau")
-            consumed = _check_constants(consumed, "tau", tau)
-            ev = lambda r: r * (1.0 - 4.0 * tau * e(SQRT2 * r))
-            new_bp = tuple(b / SQRT2 for b in bp)
-        else:  # activation
-            ev = lambda r: e(r) * r
-            new_bp = bp
-    elif src is Role.REGULARISER:
-        if to is Role.DIFFUSIVITY:
-            ev = lambda r: _ratio_with_limit(dpsi, r) / 2.0
-            new_bp = bp
-        elif to is Role.SHRINKAGE:
-            alpha = _require(coupling, "alpha")
-            consumed = _check_constants(consumed, "alpha", alpha)
-            ev = lambda r: r - SQRT2 * alpha * dpsi(SQRT2 * r)
-            new_bp = tuple(b / SQRT2 for b in bp)
-        else:  # activation
-            ev = lambda r: dpsi(r) / 2.0
-            new_bp = bp
-    elif src is Role.SHRINKAGE:
-        if to is Role.DIFFUSIVITY:
-            tau = _require(coupling, "tau")
-            consumed = _check_constants(consumed, "tau", tau)
-            numer = lambda r: SQRT2 * e(r / SQRT2)
-            ev = lambda r: (1.0 - _ratio_with_limit(numer, r)) / (4.0 * tau)
-            new_bp = tuple(b * SQRT2 for b in bp)
-        elif to is Role.REGULARISER:
-            alpha = _require(coupling, "alpha")
-            consumed = _check_constants(consumed, "alpha", alpha)
-            scaled_bp = tuple(b * SQRT2 for b in bp)
-            ev = lambda r: (
-                r * r
-                - 2.0 * SQRT2 * integral_from_zero(lambda x: e(x / SQRT2), r, scaled_bp)
-            ) / (4.0 * alpha)
-            new_bp = scaled_bp
-        else:  # activation
-            tau = _require(coupling, "tau")
-            consumed = _check_constants(consumed, "tau", tau)
-            ev = lambda r: (r - SQRT2 * e(r / SQRT2)) / (4.0 * tau)
-            new_bp = tuple(b * SQRT2 for b in bp)
-    else:  # activation source
-        if to is Role.DIFFUSIVITY:
-            ev = lambda r: _ratio_with_limit(e, r)
-            new_bp = bp
-        elif to is Role.REGULARISER:
-            ev = lambda r: 2.0 * integral_from_zero(e, r, bp)
-            new_bp = bp
-        else:  # shrinkage
-            tau = _require(coupling, "tau")
-            consumed = _check_constants(consumed, "tau", tau)
-            ev = lambda r: r - 2.0 * SQRT2 * tau * e(SQRT2 * r)
-            new_bp = tuple(b / SQRT2 for b in bp)
+    D, R, S, A = Role  # one cell per (source, target) pair
+    ev = {
+        (D, R): lambda r: 2.0 * integral_from_zero(lambda x: e(x) * x, r, bp),
+        (D, S): lambda r: r * (1.0 - 4.0 * c * e(SQRT2 * r)),
+        (D, A): lambda r: e(r) * r,
+        (R, D): lambda r: _ratio_with_limit(dpsi, r) / 2.0,
+        (R, S): lambda r: r - SQRT2 * c * dpsi(SQRT2 * r),
+        (R, A): lambda r: dpsi(r) / 2.0,
+        (S, D): lambda r: (
+            1.0 - _ratio_with_limit(lambda x: SQRT2 * e(x / SQRT2), r)
+        ) / (4.0 * c),
+        (S, R): lambda r: (
+            r * r - 2.0 * SQRT2 * integral_from_zero(lambda x: e(x / SQRT2), r, bp)
+        ) / (4.0 * c),
+        (S, A): lambda r: (r - SQRT2 * e(r / SQRT2)) / (4.0 * c),
+        (A, D): lambda r: _ratio_with_limit(e, r),
+        (A, R): lambda r: 2.0 * integral_from_zero(e, r, bp),
+        (A, S): lambda r: r - 2.0 * SQRT2 * c * e(SQRT2 * r),
+    }[f.role, to]
 
     return RoleFunction(
         role=to,
         evaluator=ev,
-        provenance=f.provenance + (f"{src.value}->{to.value}",),
-        breakpoints=new_bp,
+        provenance=f.provenance + (f"{f.role.value}->{to.value}",),
+        breakpoints=bp,
         constants=consumed,
     )
 

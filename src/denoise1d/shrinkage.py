@@ -7,13 +7,13 @@ pair is synthesised back.  Averaging each sample's two reconstructions
 (cycle spinning over the two pairings, with reflected phantom pairs of
 zero wavelet coefficient at the ends) gives one shift-invariant step.
 
-The step is implemented twice: a closed-form update used everywhere,
-and the literal analyse/shrink/synthesise/average path kept as an
-independent cross-check of the algebra.  The closed form evaluates the
-shrinkage function once per interface, on the N values fd/sqrt(2): the
-backward difference is the forward difference shifted by one, and the
-clamped forward difference is zero at the right wall, so its last
-value S(0) is also the wall value the backward side needs.  Grid size 1
+The step is implemented once, as a closed-form update; the tests keep
+the literal analyse/shrink/synthesise/average path as an independent
+cross-check of its algebra.  The closed form evaluates the shrinkage
+function once per interface, on the N values fd/sqrt(2): the backward
+difference is the forward difference shifted by one, and the clamped
+forward difference is zero at the right wall, so its last value S(0)
+is also the wall value the backward side needs.  Grid size 1
 is required; the pairing of neighbouring samples has no scale parameter.
 """
 
@@ -68,26 +68,6 @@ def _shift_invariant_values(x, ev):
     e[0] = s[-1] - s[0]
     np.subtract(s[:-1], s[1:], out=e[1:])
     return x + 0.25 * d + e / (2.0 * SQRT2)
-
-
-def _shift_invariant_by_pairs(x, ev):
-    # Reference path: explicit reconstructions from both pairings.
-    n = x.size
-    s = (x[:-1] + x[1:]) / SQRT2
-    w = (x[1:] - x[:-1]) / SQRT2
-    sw = ev(w)
-    left = (s - sw) / SQRT2   # reconstruction of the pair's left member
-    right = (s + sw) / SQRT2  # reconstruction of the pair's right member
-    s0 = float(ev(np.float64(0.0)))  # phantom pairs carry a zero wavelet coeff
-    out = np.empty_like(x)
-    if n == 1:
-        out[0] = x[0]
-        return out
-    out[0] = (x[0] + s0 / SQRT2 + left[0]) / 2.0
-    out[-1] = (right[-1] + x[-1] - s0 / SQRT2) / 2.0
-    if n > 2:
-        out[1:-1] = (right[:-1] + left[1:]) / 2.0
-    return out
 
 
 def _require_unit_grid(h):

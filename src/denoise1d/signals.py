@@ -66,21 +66,15 @@ def _fdiff(x, h):
     return v
 
 
-def _bdiff(x, h):
-    # (x[i] - x[i-1]) / h, zero at the left end (clamped neighbour).
-    v = np.empty_like(x)
-    np.subtract(x[1:], x[:-1], out=v[1:])
-    v[0] = 0.0
-    if h != 1.0:
-        v /= h
-    return v
-
-
 def forward_diff(u: Signal1D) -> Signal1D:
     """One-sided difference (u[i+1] - u[i]) / h; the last entry is zero."""
     return Signal1D._wrap(_fdiff(u.values, u.h), u.h)
 
 
 def backward_diff(u: Signal1D) -> Signal1D:
-    """One-sided difference (u[i] - u[i-1]) / h; the first entry is zero."""
-    return Signal1D._wrap(_bdiff(u.values, u.h), u.h)
+    """One-sided difference (u[i] - u[i-1]) / h; the first entry is zero.
+
+    It is the forward difference shifted right by one: the forward
+    difference's zero at the right wall becomes the left wall's zero.
+    """
+    return Signal1D._wrap(np.roll(_fdiff(u.values, u.h), 1), u.h)

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from denoise1d import (
     translate,
 )
 from denoise1d.cli import (
+    _STEP_BUDGET,
     NoiseModel,
     add_noise,
     generate_signal,
@@ -618,3 +620,42 @@ class TestIgnoredFlagsAreGone:
         assert main(["generate", "--kind", "step", "--n", "8", "--seed", "1",
                      "--out", str(out)]) == 1
         assert not out.exists()
+
+
+class TestStepBudget:
+    """A run that needs more than the step budget exits 3 at once, names
+    the m it needed and writes no file."""
+
+    def over_budget(self, tmp_path, capsys, values, args, m):
+        sig = tmp_path / "f.csv"
+        sig.write_text("".join(f"{v!r}\n" for v in values))
+        out = tmp_path / "o.csv"
+        start = time.perf_counter()
+        code = main(args + ["--input", str(sig), "--out", str(out)])
+        assert time.perf_counter() - start < 5.0
+        assert code == 3
+        assert f"m = {m} steps" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["f.csv"]
+
+    @pytest.mark.parametrize("values,family", (([1.0, 1.0, 1.0], "constant"),
+                                               ([1.0], "perona-malik")))
+    def test_a_flat_or_one_sample_signal_diffused_to_1e9(self, tmp_path, capsys, values, family):
+        self.over_budget(tmp_path, capsys, values,
+                         ["denoise", "--method", "diffusion", "--time", "1e9",
+                          "--family", family], 4_000_000_000)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_steps_above_the_budget(self, tmp_path, capsys, method):
+        m = _STEP_BUDGET + 1
+        self.over_budget(tmp_path, capsys, [0.0, 1.0, 0.5],
+                         ["denoise", "--method", method, "--steps", str(m)], m)
+
+    def test_compare_and_stability_too(self, tmp_path, capsys):
+        sig = tmp_path / "f.csv"
+        sig.write_text("0.0\n1.0\n")
+        m = str(_STEP_BUDGET + 1)
+        assert main(["compare", "--input", str(sig), "--outdir", str(tmp_path / "cmp"),
+                     "--steps", m]) == 3
+        assert main(["stability", "--input", str(sig), "--steps", m]) == 3
+        assert capsys.readouterr().out == ""
+        assert sorted(os.listdir(tmp_path)) == ["f.csv"]

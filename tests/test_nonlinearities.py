@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -220,3 +222,103 @@ class TestLipschitz:
             estimate_lipschitz(phi, 0.0, 100)
         with pytest.raises(ValueError):
             estimate_lipschitz(phi, 1.0, 1)
+
+
+# |r| <= 60 on a dense grid, both signed zeros and subnormals of both signs.
+_SUBNORMALS = np.geomspace(5e-324, 2.2250738585072009e-308, 2000)
+GRID = np.concatenate([np.linspace(-60.0, 60.0, 1_400_001), [0.0, -0.0], _SUBNORMALS, -_SUBNORMALS])
+
+
+def _analytic_dpsi(spec):
+    # The hand-written psi' each family carried before it was taken as
+    # 2 phi; kept verbatim as the reference.
+    th, lam2 = spec.threshold, spec.contrast * spec.contrast
+    s2t, th2 = SQRT2 * th, th * th
+    return {
+        Family.CONSTANT: lambda r: 2.0 * r,
+        Family.CHARBONNIER: lambda r: 2.0 * r / np.sqrt(1.0 + r * r / lam2),
+        Family.TRUNCATED_TV: lambda r: np.where(np.abs(r) <= s2t, 2.0 * r, 2.0 * s2t * np.sign(r)),
+        Family.PERONA_MALIK: lambda r: 2.0 * r * np.exp(-r * r / (2.0 * lam2)),
+        Family.TRUNCATED_BFB: lambda r: np.where(
+            np.abs(r) <= s2t, 2.0 * r, 4.0 * th2 / np.where(np.abs(r) > s2t, r, 1.0)
+        ),
+        Family.TRUNCATED_QUADRATIC: lambda r: np.where(np.abs(r) <= s2t, 2.0 * r, 0.0),
+    }[spec.family]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+class TestDictionaryRules:
+    """psi' = 2 phi, the coupling rule and the breakpoint scaling."""
+
+    # SHA-256 over every cell not fed by psi' (regulariser cells on every
+    # 1000th grid point), per family at tau = alpha = 0.25, taken from
+    # the translations as they were before these rules were stated once.
+    PINNED = {
+        Family.CONSTANT: "cc4a3c49a008d6cf228eebfb054c176a7057b265297617160563e66da4a141cc",
+        Family.CHARBONNIER: "4d801f75b5098002d5e27786d00a523e749897c71af9195773dfac3cbd88cd39",
+        Family.TRUNCATED_TV: "83e75d8cd4e6e1377f210a9d03daa23c46a737b5b594b0011813bbb1a120b2da",
+        Family.PERONA_MALIK: "02a683eb4323dbaa64d62089283b3f76cddc9202c9f07b1f21eee5ef235bb24e",
+        Family.TRUNCATED_BFB: "96ab1f49c17aa26b8353729615baf78c5097e769443ef18229e4269a5e48b827",
+        Family.TRUNCATED_QUADRATIC: "541593545b59b77d2f5e4ce8c21450ca2aa380ea6751a0b3bee7eea97965bca2",
+    }
+
+    @staticmethod
+    def cells_digest(family):
+        h = hashlib.sha256()
+        spec = spec_of(family)
+        for src in (Role.DIFFUSIVITY, Role.SHRINKAGE, Role.ACTIVATION):
+            f = make_role_function(spec, src)
+            for dst in ALL_ROLES:
+                if dst is not src:
+                    r = GRID[::1000] if dst is Role.REGULARISER else GRID
+                    with np.errstate(all="ignore"):
+                        h.update(_bits(translate(f, dst, COUPLING).evaluator(r)).tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_cells_without_psi_prime_are_unchanged(self, family):
+        assert self.cells_digest(family) == self.PINNED[family]
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_psi_prime_cells_match_the_analytic_derivative(self, family):
+        """2 phi and the analytic psi' give the same bits, except signed
+        zeros (constant: 2 (r + 0) is +0 at r = -0) and results below
+        2^-1021 in magnitude (Perona-Malik near |r| = 38, where the
+        products round differently in the subnormal range)."""
+        spec = spec_of(family)
+        psi = make_role_function(spec, Role.REGULARISER)
+        ref = dataclasses.replace(psi, derivative=_analytic_dpsi(spec))
+        pairs = [(psi.derivative(GRID), ref.derivative(GRID))]
+        for dst in (Role.DIFFUSIVITY, Role.SHRINKAGE, Role.ACTIVATION):
+            with np.errstate(all="ignore"):
+                pairs.append((translate(psi, dst, COUPLING).evaluator(GRID),
+                              translate(ref, dst, COUPLING).evaluator(GRID)))
+        for got, want in pairs:
+            differ = _bits(got) != _bits(want)
+            got, want = got[differ], want[differ]
+            if family is Family.CONSTANT:
+                assert np.all((got == 0.0) & (want == 0.0))
+            elif family is Family.PERONA_MALIK:
+                assert np.all(np.maximum(np.abs(got), np.abs(want)) < 2.0**-1021)
+            else:
+                assert got.size == 0
+
+    @pytest.mark.parametrize("src", ALL_ROLES)
+    @pytest.mark.parametrize("dst", ALL_ROLES)
+    def test_coupling_and_breakpoint_rules(self, src, dst):
+        f = make_role_function(spec_of(Family.TRUNCATED_TV), src)
+        out = translate(f, dst, CouplingParams(tau=0.25, alpha=0.5))
+        ends = {src, dst}
+        if src is dst or Role.SHRINKAGE not in ends:
+            assert out.constants == ()
+            assert out.breakpoints == f.breakpoints
+            return
+        name = "alpha" if Role.REGULARISER in ends else "tau"
+        assert out.constants == ((name, 0.5 if name == "alpha" else 0.25),)
+        scale = (lambda b: b / SQRT2) if dst is Role.SHRINKAGE else (lambda b: b * SQRT2)
+        assert out.breakpoints == tuple(map(scale, f.breakpoints))
+        with pytest.raises(ValueError, match=f"^translation requires coupling.{name}$"):
+            translate(f, dst)

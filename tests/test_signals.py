@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from denoise1d import Signal1D, backward_diff, forward_diff
@@ -72,6 +72,25 @@ class TestBackwardDiff:
     def test_single_sample(self):
         v = backward_diff(Signal1D([7.0]))
         np.testing.assert_array_equal(v.values, [0.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=64),
+        st.sampled_from((1.0, 0.5, 0.1)),
+    )
+    @example([-0.0, 0.0, -0.0], 0.5)  # 0 - (-0) = +0, but -0 - 0 = -0
+    def test_bit_identical_to_its_own_stencil(self, xs, h):
+        """The shifted forward difference is the backward stencil, bit
+        for bit (signed zeros included)."""
+        x = np.array(xs)
+        want = np.empty_like(x)  # the backward stencil written out
+        with np.errstate(over="ignore"):
+            np.subtract(x[1:], x[:-1], out=want[1:])
+            want[0] = 0.0
+            if h != 1.0:
+                want /= h
+            got = backward_diff(Signal1D(x, h=h)).values
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestOperatorProperties:
