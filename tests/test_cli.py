@@ -150,7 +150,7 @@ class TestExitCodes:
         assert not out.exists()
         assert main(args + ["--steps", "0"]) == (1 if method == "variational" else 0)
 
-    @pytest.mark.parametrize("points", ("nan", "inf", "1.0,-inf", "nan,inf"))
+    @pytest.mark.parametrize("points", ("nan", "inf", "1.0,-inf", "nan,inf", "-inf"))
     def test_non_finite_translate_points_are_usage_errors(self, capsys, points):
         assert main(["translate", "--to", "activation", "--at", points]) == 1
         assert capsys.readouterr().out == ""
@@ -171,6 +171,66 @@ class TestExitCodes:
              "--noise", "gaussian", "--sigma", "0.1"]
         )
         assert code == 1
+
+
+def _denoise(method, *flags):
+    return ("denoise", "--method", method) + flags
+
+
+# One bad flag per case: the argv after --input/--out(dir), the usage
+# error line, and whether the check fires before the input is opened.
+FLAG_CASES = {
+    "family": (_denoise("diffusion", "--time", "1", "--family", "nope"),
+               "unknown family 'nope'", True),
+    "tau-negative": (_denoise("diffusion", "--time", "1", "--tau", "-1"),
+                     "tau must be positive and finite, got -1.0", True),
+    "tau-nan": (_denoise("diffusion", "--time", "1", "--tau", "nan"),
+                "tau must be positive and finite, got nan", True),
+    "noise-no-sigma": (_denoise("diffusion", "--time", "1", "--noise", "gaussian", "--seed", "1"),
+                       "gaussian noise needs --sigma", True),
+    "noise-no-seed": (_denoise("diffusion", "--time", "1", "--noise", "gaussian", "--sigma", "0.1"),
+                      "a seed is mandatory when noise is added", True),
+    "neither-time-nor-steps": (_denoise("diffusion"),
+                               "give exactly one of stopping time and step count", True),
+    "both-time-and-steps": (_denoise("diffusion", "--time", "1", "--steps", "2"),
+                            "give exactly one of stopping time and step count", True),
+    "steps-negative": (_denoise("diffusion", "--steps", "-1"),
+                       "diffusion needs --steps >= 0, got -1", True),
+    "variational-steps-0": (_denoise("variational", "--steps", "0"),
+                            "variational needs --steps >= 1, got 0", True),
+    "wavelet-time": (_denoise("wavelet", "--time", "1"),
+                     "method 'wavelet' needs --steps, not --time", False),
+    "compare-family": (("compare", "--family", "nope"), "unknown family 'nope'", True),
+    "compare-tau-negative": (("compare", "--tau", "-1"),
+                             "tau must be positive and finite, got -1.0", False),
+    "compare-tau-nan": (("compare", "--tau", "nan"), "tau must be positive and finite, got nan", False),
+    "compare-steps-0": (("compare", "--steps", "0"), "variational needs --steps >= 1, got 0", False),
+    "compare-steps-negative": (("compare", "--steps", "-1"),
+                               "diffusion needs --steps >= 0, got -1", False),
+    "noise-command-no-seed": (("noise", "--noise", "gaussian", "--sigma", "0.1"),
+                              "a seed is mandatory when noise is added", True),
+    "noise-command-no-sigma": (("noise", "--noise", "uniform", "--seed", "1"),
+                               "uniform noise needs --amplitude", True),
+}
+
+
+class TestFlagContract:
+    @pytest.mark.parametrize("case", FLAG_CASES)
+    def test_one_bad_flag(self, tmp_path, capsys, case):
+        argv, line, before_read = FLAG_CASES[case]
+        sig = tmp_path / "f.csv"
+        main(["generate", "--kind", "step", "--n", "8", "--out", str(sig)])
+        out_flag = "--outdir" if argv[0] == "compare" else "--out"
+        for inp in (sig, tmp_path / "missing.csv"):
+            capsys.readouterr()
+            code = main([argv[0], "--input", str(inp), out_flag, str(tmp_path / "out")]
+                        + list(argv[1:]))
+            err = capsys.readouterr().err
+            if inp == sig or before_read:
+                assert (code, err) == (1, f"usage error: {line}\n")
+            else:
+                assert code == 2 and err.startswith("i/o error:")
+            assert os.listdir(tmp_path) == ["f.csv"]
 
 
 class TestDenoiseCommand:
