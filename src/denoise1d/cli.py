@@ -17,7 +17,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -47,13 +46,6 @@ _METHODS = ("diffusion", "wavelet", "variational", "resnet")
 # steps) exits 3 before it takes a step or writes a file, not hangs.
 _STEP_BUDGET = 10_000_000
 
-_ROLE_NAMES = {
-    "diffusivity": Role.DIFFUSIVITY,
-    "regulariser": Role.REGULARISER,
-    "shrinkage": Role.SHRINKAGE,
-    "activation": Role.ACTIVATION,
-}
-
 
 class UsageError(Exception):
     pass
@@ -75,34 +67,6 @@ class NoiseModel:
             raise UsageError(f"unknown noise model {self.kind!r}")
         if self.kind != "none" and (not np.isfinite(self.level) or self.level < 0.0):
             raise UsageError(f"noise level must be nonnegative, got {self.level!r}")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One denoise run, fully determined (method, family, schedule, seed)."""
-
-    method: str
-    family: FamilySpec
-    coupling: CouplingParams
-    input_path: str
-    output_path: str
-    stopping_time: Optional[float] = None
-    steps: Optional[int] = None
-    mode: StepSizeMode = StepSizeMode.SIGN_STABLE
-    noise: NoiseModel = NoiseModel()
-    seed: Optional[int] = None
-    report_path: Optional[str] = None
-
-    def __post_init__(self):
-        if self.method not in _METHODS:
-            raise UsageError(f"unknown method {self.method!r}")
-        if (self.stopping_time is None) == (self.steps is None):
-            raise UsageError("give exactly one of stopping time and step count")
-        if self.noise.kind != "none" and self.seed is None:
-            raise UsageError("a seed is mandatory when noise is added")
-        least = 1 if self.method == "variational" else 0
-        if self.steps is not None and self.steps < least:
-            raise UsageError(f"{self.method} needs --steps >= {least}, got {self.steps}")
 
 
 def generate_signal(kind: str, n: int, params=None) -> Signal1D:
@@ -186,7 +150,19 @@ def _noise_model(args) -> NoiseModel:
     if level is None:
         flag = "--sigma" if args.noise == "gaussian" else "--amplitude"
         raise UsageError(f"{args.noise} noise needs {flag}")
-    return NoiseModel(kind=args.noise, level=level)
+    model = NoiseModel(kind=args.noise, level=level)
+    if args.seed is None:
+        raise UsageError("a seed is mandatory when noise is added")
+    return model
+
+
+def _check_plan(method, steps, stopping_time=None):
+    # The schedule checks that need no input, so they fire before it is read.
+    if (stopping_time is None) == (steps is None):
+        raise UsageError("give exactly one of stopping time and step count")
+    least = 1 if method == "variational" else 0
+    if steps is not None and steps < least:
+        raise UsageError(f"{method} needs --steps >= {least}, got {steps}")
 
 
 def _check_budget(m):
@@ -194,60 +170,42 @@ def _check_budget(m):
         raise StabilityViolation(f"the run needs m = {m} steps, above the budget of {_STEP_BUDGET}")
 
 
-def _denoise_signal(config: RunConfig, f: Signal1D):
-    """Plan one method's run on f; returns (states, tau, L).
+def _denoise_signal(f: Signal1D, method, spec, tau, mode, steps=None, stopping_time=None):
+    """Run one method's plan on f; returns (states, tau, L).
 
-    ``states`` yields the state after each step or block as it is
-    taken, so a caller runs the steps once however it observes them.
-    L is the run's one Lipschitz estimate.  Every ``--steps`` method
-    has the one guard: tau against the ``mode`` bound for L of its phi.
-    No run may take more than ``_STEP_BUDGET`` steps.
+    The plan is ``steps`` steps or blocks at ``tau``, or for diffusion
+    only a ``stopping_time`` that fixes tau and m.  ``states`` yields the
+    state after each step or block as it is taken, so a caller runs the
+    steps once however it observes them.  L is the run's one Lipschitz
+    estimate.  Every ``steps`` plan has the one guard: tau against the
+    ``mode`` bound for L of its phi.  No run may take more than
+    ``_STEP_BUDGET`` steps.
     """
-    spec = config.family
     phi = make_role_function(spec, Role.ACTIVATION)
-    tau = config.coupling.tau
-    m = config.steps
-
-    if config.stopping_time is not None:
-        if config.method != "diffusion":
-            raise UsageError(f"method {config.method!r} needs --steps, not --time")
-        L, tau, m = _schedule(f, phi, config.stopping_time, config.mode)
+    if stopping_time is not None:
+        if method != "diffusion":
+            raise UsageError(f"method {method!r} needs --steps, not --time")
+        L, tau, m = _schedule(f, phi, stopping_time, mode)
         _check_budget(m)
         return _states(f.values, phi, tau, m, f.h), tau, L
 
-    _check_budget(m)
-    if config.method == "wavelet":
+    _check_budget(steps)
+    if method == "wavelet":
         _require_unit_grid(f.h)
-    elif config.method == "variational":
+    elif method == "variational":
         phi = translate(make_role_function(spec, Role.REGULARISER), Role.ACTIVATION)
     L = _lipschitz(phi, f)
-    bound = max_stable_tau(L, f.h, config.mode)
+    bound = max_stable_tau(L, f.h, mode)
     if tau > bound:
         raise StabilityViolation(
-            f"tau = {tau:g} violates the {config.mode.value} bound {bound:g} (L = {L:g})"
+            f"tau = {tau:g} violates the {mode.value} bound {bound:g} (L = {L:g})"
         )
-    if config.method == "wavelet":
-        shrink = translate(phi, Role.SHRINKAGE, config.coupling)
-        return _shrink_states(f.values, shrink.evaluator, m), tau, L
-    if config.method == "resnet":
-        return _chain_states([make_diffusion_block(phi, tau, f.h)] * m, f.values), tau, L
-    return _states(f.values, phi, tau, m, f.h), tau, L
-
-
-def run(config: RunConfig) -> int:
-    """Execute a denoise run: read, perturb, filter, write, report.
-
-    The report is read off the run's own states as they are taken.
-    """
-    f = read_signal_csv(config.input_path)
-    f = add_noise(f, config.noise, config.seed)
-    states, tau, L = _denoise_signal(config, f)
-    report, x = _observe(f, states, L, tau)
-    write_signal_csv(config.output_path, Signal1D._wrap(x, f.h))
-    report_path = config.report_path or config.output_path + ".report"
-    with open(report_path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(report.to_lines()) + "\n")
-    return 0
+    if method == "wavelet":
+        shrink = translate(phi, Role.SHRINKAGE, CouplingParams(tau=tau))
+        return _shrink_states(f.values, shrink.evaluator, steps), tau, L
+    if method == "resnet":
+        return _chain_states([make_diffusion_block(phi, tau, f.h)] * steps, f.values), tau, L
+    return _states(f.values, phi, tau, steps, f.h), tau, L
 
 
 def _cmd_generate(args):
@@ -259,37 +217,32 @@ def _cmd_generate(args):
 
 def _cmd_noise(args):
     model = _noise_model(args)
-    if model.kind != "none" and args.seed is None:
-        raise UsageError("a seed is mandatory when noise is added")
     u = read_signal_csv(args.input)
     write_signal_csv(args.out, add_noise(u, model, args.seed))
     return 0
 
 
 def _cmd_denoise(args):
-    config = RunConfig(
-        method=args.method,
-        family=_family_spec(args),
-        coupling=CouplingParams(tau=args.tau),
-        input_path=args.input,
-        output_path=args.out,
-        stopping_time=args.time,
-        steps=args.steps,
-        mode=StepSizeMode.MAXMIN if args.mode == "maxmin" else StepSizeMode.SIGN_STABLE,
-        noise=_noise_model(args),
-        seed=args.seed,
-        report_path=args.report,
-    )
-    return run(config)
+    """Read, perturb, denoise, write; the report is read off the run's own states."""
+    spec = _family_spec(args)
+    tau = CouplingParams(tau=args.tau).tau  # positive and finite
+    noise = _noise_model(args)
+    _check_plan(args.method, args.steps, args.time)
+    f = add_noise(read_signal_csv(args.input), noise, args.seed)
+    states, tau, L = _denoise_signal(
+        f, args.method, spec, tau, StepSizeMode(args.mode), args.steps, args.time)
+    report, x = _observe(f, states, L, tau)
+    write_signal_csv(args.out, Signal1D._wrap(x, f.h))
+    with open(args.report or args.out + ".report", "w", encoding="ascii") as fh:
+        fh.write("\n".join(report.to_lines()) + "\n")
+    return 0
 
 
 def _cmd_translate(args):
     spec = _family_spec(args)
-    src = _ROLE_NAMES[args.from_role]
-    dst = _ROLE_NAMES[args.to]
     fn = translate(
-        make_role_function(spec, src),
-        dst,
+        make_role_function(spec, Role(args.from_role)),
+        Role(args.to),
         CouplingParams(tau=args.tau, alpha=args.alpha, h=1.0),
     )
     points = [float(s) for s in args.at.split(",")]
@@ -324,22 +277,20 @@ def _cmd_compare(args):
     f = read_signal_csv(args.input)
     if f.h != 1.0:
         raise UsageError("compare requires grid size h = 1 (wavelet pairing)")
-    coupling = CouplingParams(tau=args.tau)
+    tau = CouplingParams(tau=args.tau).tau  # positive and finite
     outputs = {}
     for name in _METHODS:
-        config = RunConfig(method=name, family=spec, coupling=coupling, input_path=args.input,
-                           output_path=os.path.join(args.outdir, f"{name}.csv"),
-                           steps=args.steps, mode=StepSizeMode.MAXMIN)
-        outputs[name] = Signal1D._wrap(_last(_denoise_signal(config, f)[0], f.values), f.h)
+        _check_plan(name, args.steps)
+        states = _denoise_signal(f, name, spec, tau, StepSizeMode.MAXMIN, args.steps)[0]
+        outputs[name] = Signal1D._wrap(_last(states, f.values), f.h)
     os.makedirs(args.outdir, exist_ok=True)
     for name, sig in outputs.items():
         write_signal_csv(os.path.join(args.outdir, f"{name}.csv"), sig)
 
-    names = list(outputs)
     lines = []
     worst = 0.0
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
+    for i, a in enumerate(_METHODS):
+        for b in _METHODS[i + 1 :]:
             delta = float(np.max(np.abs(outputs[a].values - outputs[b].values)))
             worst = max(worst, delta)
             lines.append(f"delta_{a}_{b}={delta:.17g}")
@@ -393,15 +344,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time", type=float, default=None, help="diffusion stopping time")
     p.add_argument("--steps", type=int, default=None, help="explicit step / block count")
     p.add_argument("--tau", type=float, default=0.25)
-    p.add_argument("--mode", default="sign-stable", choices=("maxmin", "sign-stable"))
+    p.add_argument("--mode", default="sign-stable", choices=[m.value for m in StepSizeMode])
     p.add_argument("--report", default=None, help="write a stability report here")
     _add_family_flags(p)
     _add_noise_flags(p)
     p.set_defaults(fn=_cmd_denoise)
 
     p = sub.add_parser("translate", help="evaluate a dictionary translation")
-    p.add_argument("--from-role", default="diffusivity", choices=tuple(_ROLE_NAMES))
-    p.add_argument("--to", required=True, choices=tuple(_ROLE_NAMES))
+    p.add_argument("--from-role", default="diffusivity", choices=[r.value for r in Role])
+    p.add_argument("--to", required=True, choices=[r.value for r in Role])
     p.add_argument("--at", required=True, help="comma-separated evaluation points")
     p.add_argument("--tau", type=float, default=0.25)
     p.add_argument("--alpha", type=float, default=0.25)
@@ -427,10 +378,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_lists(argv):
+    # argparse takes "-1.5,2" for an option, so "--at -1.5,2" is passed on as
+    # "--at=-1.5,2"; an option name in the value's place is left to argparse.
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--at", "--levels") and tok[:2] != "--" and tok != "-h":
+            tok = out.pop() + "=" + tok
+        out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_lists(sys.argv[1:] if argv is None else argv))
         return args.fn(args)
     except (OSError, UnicodeDecodeError) as exc:  # a decode error is a ValueError too
         print(f"i/o error: {exc}", file=sys.stderr)

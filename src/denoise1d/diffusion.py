@@ -56,30 +56,29 @@ def max_stable_tau(L: float, h: float, mode: StepSizeMode) -> float:
     return bound
 
 
-def _flux_divergence(x, ev, phi0, h):
-    # Difference of the interface fluxes ev(fd x) around each sample.
-    # phi0 = phi(0) is the wall flux; it is zero for every antisymmetric
-    # activation.
+def _flux_divergence(x, ev, h):
+    # Difference of the interface fluxes w = ev(fd x) around each sample.
+    # fd x is 0 at the right wall, so w[-1] = phi(0) is the flux through
+    # both walls; it is zero for every antisymmetric activation.
     w = ev(_fdiff(x, h))
     div = np.empty_like(x)
-    div[0] = w[0] - phi0
+    div[0] = w[0] - w[-1]
     np.subtract(w[1:], w[:-1], out=div[1:])
     if h != 1.0:
         div /= h
     return div
 
 
-def _flux_step(x, ev, phi0, tau, h):
+def _flux_step(x, ev, tau, h):
     # One explicit step on raw samples.
-    return x + tau * _flux_divergence(x, ev, phi0, h)
+    return x + tau * _flux_divergence(x, ev, h)
 
 
 def _states(x, phi, tau, m, h):
     # The loop of the explicit scheme: yields each of the m states after x.
     ev = phi.evaluator
-    phi0 = _phi_at_zero(phi)
     for _ in range(m):
-        x = _flux_step(x, ev, phi0, tau, h)
+        x = _flux_step(x, ev, tau, h)
         yield x
 
 
@@ -88,10 +87,6 @@ def _last(states, x):
     for x in states:
         pass
     return x
-
-
-def _phi_at_zero(phi):
-    return float(phi.evaluator(np.float64(0.0)))
 
 
 def explicit_step(u: Signal1D, phi: RoleFunction, tau: float) -> Signal1D:
@@ -104,7 +99,7 @@ def explicit_step(u: Signal1D, phi: RoleFunction, tau: float) -> Signal1D:
         raise ValueError("explicit_step expects an activation function")
     if not np.isfinite(tau) or tau <= 0.0:
         raise ValueError(f"time step must be positive, got {tau!r}")
-    out = _flux_step(u.values, phi.evaluator, _phi_at_zero(phi), tau, u.h)
+    out = _flux_step(u.values, phi.evaluator, tau, u.h)
     return Signal1D._wrap(out, u.h)
 
 

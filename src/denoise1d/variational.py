@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import StepSizeMode, _flux_divergence, _last, _lipschitz, _phi_at_zero, _states
+from .diffusion import StepSizeMode, _flux_divergence, _last, _lipschitz, _states
 from .diffusion import max_stable_tau
 from .nonlinearities import Role, RoleFunction, translate
 from .nonlinearities import estimate_lipschitz  # noqa: F401  traced by name (bench/tracing.py)
@@ -66,7 +66,7 @@ def euler_lagrange_residual(u: Signal1D, f: Signal1D, spec: EnergySpec) -> Signa
     """
     _check_pair(u, f)
     phi = translate(spec.psi, Role.ACTIVATION)
-    div = _flux_divergence(u.values, phi.evaluator, _phi_at_zero(phi), u.h)
+    div = _flux_divergence(u.values, phi.evaluator, u.h)
     r = (u.values - f.values) / spec.alpha - div
     return Signal1D._wrap(r, u.h)
 
@@ -75,7 +75,7 @@ def energy_gradient(u: Signal1D, f: Signal1D, spec: EnergySpec) -> np.ndarray:
     """Analytic gradient of :func:`discrete_energy` with respect to u."""
     _check_pair(u, f)
     phi = translate(spec.psi, Role.ACTIVATION)
-    div = _flux_divergence(u.values, phi.evaluator, _phi_at_zero(phi), u.h)
+    div = _flux_divergence(u.values, phi.evaluator, u.h)
     return 2.0 * u.h * (u.values - f.values) - 2.0 * spec.alpha * u.h * div
 
 

@@ -178,7 +178,8 @@ def _denoise(method, *flags):
 
 
 # One bad flag per case: the argv after --input/--out(dir), the usage
-# error line, and whether the check fires before the input is opened.
+# error line, and whether the check fires before the input is opened
+# (then a missing input does not change the error).
 FLAG_CASES = {
     "family": (_denoise("diffusion", "--time", "1", "--family", "nope"),
                "unknown family 'nope'", True),
@@ -221,16 +222,43 @@ class TestFlagContract:
         sig = tmp_path / "f.csv"
         main(["generate", "--kind", "step", "--n", "8", "--out", str(sig)])
         out_flag = "--outdir" if argv[0] == "compare" else "--out"
-        for inp in (sig, tmp_path / "missing.csv"):
+        for inp in (sig, tmp_path / "missing.csv") if before_read else (sig,):
             capsys.readouterr()
             code = main([argv[0], "--input", str(inp), out_flag, str(tmp_path / "out")]
                         + list(argv[1:]))
-            err = capsys.readouterr().err
-            if inp == sig or before_read:
-                assert (code, err) == (1, f"usage error: {line}\n")
-            else:
-                assert code == 2 and err.startswith("i/o error:")
+            assert (code, capsys.readouterr().err) == (1, f"usage error: {line}\n")
             assert os.listdir(tmp_path) == ["f.csv"]
+
+
+class TestNegativeLists:
+    @pytest.mark.parametrize("points", ("-1.5,2", "-1e-3", "-.5,-2", "-1", "2,-3"))
+    def test_at_with_a_space_parses_like_at_equals(self, capsys, points):
+        argv = ["translate", "--family", "perona-malik", "--to", "activation"]
+        assert main(argv + [f"--at={points}"]) == 0
+        glued = capsys.readouterr()
+        assert main(argv + ["--at", points]) == 0
+        assert capsys.readouterr() == glued
+        assert len(glued.out.split()) == len(points.split(","))
+
+    def test_levels_with_a_space_parses_like_levels_equals(self, tmp_path):
+        for name, levels in (("a.csv", ["--levels=-1,2"]), ("b.csv", ["--levels", "-1,2"])):
+            argv = ["generate", "--kind", "piecewise", "--n", "8", "--out", str(tmp_path / name)]
+            assert main(argv + levels) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        np.testing.assert_array_equal(read_signal_csv(tmp_path / "b.csv").values, [-1] * 4 + [2] * 4)
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["translate", "--to", "activation", "--at"], "--at"),
+        (["translate", "--to", "activation", "--at", "--family", "x"], "--at"),
+        (["translate", "--to", "activation", "--at", "-h"], "--at"),
+        (["generate", "--kind", "piecewise", "--n", "8", "--out", "g.csv", "--levels"], "--levels"),
+        (["generate", "--kind", "piecewise", "--n", "8", "--levels", "--out", "g.csv"], "--levels"),
+    ])
+    def test_a_missing_value_is_still_a_usage_error(self, tmp_path, capsys, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"usage error: argument {flag}: expected one argument\n")
+        assert os.listdir(tmp_path) == []
 
 
 class TestDenoiseCommand:

@@ -18,6 +18,7 @@ from denoise1d import (
     explicit_step,
     make_role_function,
     max_stable_tau,
+    user_role_function,
 )
 from denoise1d.cli import main, read_signal_csv, write_signal_csv
 
@@ -71,6 +72,19 @@ class TestExplicitStep:
             a = explicit_step(Signal1D(-u.values), phi, 0.25).values
             b = -explicit_step(u, phi, 0.25).values
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=64),
+           h=st.sampled_from((1.0, 0.5)), tau=st.floats(1e-3, 0.25))
+    def test_phi_of_zero_is_the_flux_through_both_walls(self, x, h, tau):
+        """An activation with phi(0) != 0: the step must match the
+        conservation stencil with phi(0) as the wall flux, bit for bit."""
+        phi = user_role_function(Role.ACTIVATION, lambda r: r + 0.3)
+        wall = 0.0 + 0.3
+        flux = [wall] + [(x[i] - x[i - 1]) / h + 0.3 for i in range(1, len(x))] + [wall]
+        want = np.array([x[i] + tau * ((flux[i + 1] - flux[i]) / h) for i in range(len(x))])
+        got = explicit_step(Signal1D(x, h), phi, tau).values
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_rejects_non_activation(self):
         g = make_role_function(FamilySpec(Family.CONSTANT), Role.DIFFUSIVITY)

@@ -1,0 +1,53 @@
+"""Every name a denoise1d module imports is used there, exported through
+``__all__`` (the package ``__init__``), or marked ``# noqa: F401`` for
+bench/tracing.py, which wraps it by name in that module."""
+
+import ast
+import importlib.util
+import os
+
+import pytest
+
+import denoise1d
+
+PKG = os.path.dirname(os.path.abspath(denoise1d.__file__))
+TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "bench", "tracing.py")
+MODULES = sorted(f[:-3] for f in os.listdir(PKG) if f.endswith(".py"))
+
+
+def _traced():
+    spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.TARGETS
+
+
+def _imports(tree):
+    # (bound name, line) of each import but those from __future__.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                yield (a.asname or a.name.split(".")[0]), a.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                yield (a.asname or a.name), a.lineno
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    with open(os.path.join(PKG, module + ".py"), encoding="utf-8") as fh:
+        source = fh.read()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    exported = set(denoise1d.__all__) if module == "__init__" else set()
+    traced = set(_traced().get("denoise1d" if module == "__init__" else f"denoise1d.{module}", ()))
+    unused = []
+    for name, line in _imports(tree):
+        if "# noqa: F401" in lines[line - 1]:
+            if name not in traced:
+                unused.append(f"{module}.py:{line} {name} (noqa, but not traced)")
+        elif name not in used and name not in exported:
+            unused.append(f"{module}.py:{line} {name}")
+    assert not unused, unused

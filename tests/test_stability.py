@@ -185,7 +185,7 @@ class TestSignStableRegime:
             hi = float(np.max(x)) + 1e-12
             prev = _count_sign_changes(x)
             for _ in range(100):
-                x = _flux_step(x, ev, 0.0, tau, 1.0)
+                x = _flux_step(x, ev, tau, 1.0)
                 cur = _count_sign_changes(x)
                 assert cur <= prev
                 prev = cur
