@@ -153,6 +153,8 @@ def _noise_model(args) -> NoiseModel:
     model = NoiseModel(kind=args.noise, level=level)
     if args.seed is None:
         raise UsageError("a seed is mandatory when noise is added")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     return model
 
 
@@ -160,9 +162,13 @@ def _check_plan(method, steps, stopping_time=None):
     # The schedule checks that need no input, so they fire before it is read.
     if (stopping_time is None) == (steps is None):
         raise UsageError("give exactly one of stopping time and step count")
-    least = 1 if method == "variational" else 0
+    if stopping_time is not None and method != "diffusion":
+        raise UsageError(f"method {method!r} needs --steps, not --time")
+    least = 1 if method in ("variational", "stability") else 0
     if steps is not None and steps < least:
         raise UsageError(f"{method} needs --steps >= {least}, got {steps}")
+    if steps is not None:
+        _check_budget(steps)
 
 
 def _check_budget(m):
@@ -178,18 +184,14 @@ def _denoise_signal(f: Signal1D, method, spec, tau, mode, steps=None, stopping_t
     state after each step or block as it is taken, so a caller runs the
     steps once however it observes them.  L is the run's one Lipschitz
     estimate.  Every ``steps`` plan has the one guard: tau against the
-    ``mode`` bound for L of its phi.  No run may take more than
-    ``_STEP_BUDGET`` steps.
+    ``mode`` bound for L of its phi.  The plan has passed ``_check_plan``.
     """
     phi = make_role_function(spec, Role.ACTIVATION)
     if stopping_time is not None:
-        if method != "diffusion":
-            raise UsageError(f"method {method!r} needs --steps, not --time")
         L, tau, m = _schedule(f, phi, stopping_time, mode)
         _check_budget(m)
         return _states(f.values, phi, tau, m, f.h), tau, L
 
-    _check_budget(steps)
     if method == "wavelet":
         _require_unit_grid(f.h)
     elif method == "variational":
@@ -254,11 +256,11 @@ def _cmd_translate(args):
 
 
 def _cmd_stability(args):
-    spec = _family_spec(args)
+    phi = make_role_function(_family_spec(args), Role.ACTIVATION)
+    tau = CouplingParams(tau=args.tau).tau  # positive and finite
+    _check_plan("stability", args.steps)
     f = read_signal_csv(args.input)
-    phi = make_role_function(spec, Role.ACTIVATION)
-    _check_budget(args.steps)
-    report = analyze(f, phi, args.tau, args.steps)
+    report = analyze(f, phi, tau, args.steps)
     lines = report.to_lines()
     print("\n".join(lines))
     if args.out:
@@ -274,13 +276,14 @@ def _cmd_stability(args):
 def _cmd_compare(args):
     """All four methods under equivalent parameters; reports max deltas."""
     spec = _family_spec(args)
+    tau = CouplingParams(tau=args.tau).tau  # positive and finite
+    for name in _METHODS:
+        _check_plan(name, args.steps)
     f = read_signal_csv(args.input)
     if f.h != 1.0:
         raise UsageError("compare requires grid size h = 1 (wavelet pairing)")
-    tau = CouplingParams(tau=args.tau).tau  # positive and finite
     outputs = {}
     for name in _METHODS:
-        _check_plan(name, args.steps)
         states = _denoise_signal(f, name, spec, tau, StepSizeMode.MAXMIN, args.steps)[0]
         outputs[name] = Signal1D._wrap(_last(states, f.values), f.h)
     os.makedirs(args.outdir, exist_ok=True)
@@ -380,10 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _glue_lists(argv):
     # argparse takes "-1.5,2" for an option, so "--at -1.5,2" is passed on as
-    # "--at=-1.5,2"; an option name in the value's place is left to argparse.
+    # "--at=-1.5,2", as is "--lev -1,2" (--levels from --l on; --a is ambiguous
+    # in translate); an option name in the value's place is left to argparse.
+    names = ("--at",) + tuple("--levels"[:k] for k in range(3, 9))
     out = []
     for tok in argv:
-        if out and out[-1] in ("--at", "--levels") and tok[:2] != "--" and tok != "-h":
+        if out and out[-1] in names and tok[:2] != "--" and tok != "-h":
             tok = out.pop() + "=" + tok
         out.append(tok)
     return out

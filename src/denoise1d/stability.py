@@ -48,7 +48,7 @@ class StabilityReport:
 
     def to_lines(self):
         """Flat key=value serialisation."""
-        lines = [
+        return [
             f"lipschitz={self.lipschitz:.17g}",
             f"tau_maxmin={self.tau_maxmin:.17g}",
             f"tau_sign={self.tau_sign:.17g}",
@@ -62,7 +62,6 @@ class StabilityReport:
             "sign_changes_per_step=" + ",".join(str(c) for c in self.sign_changes_per_step),
             "violations=" + ";".join(f"{s}:{i}:{v:.17g}" for s, i, v in self.violations),
         ]
-        return lines
 
 
 def _count_sign_changes(x):
@@ -78,13 +77,6 @@ def count_sign_changes(u: Signal1D) -> int:
     return _count_sign_changes(u.values)
 
 
-def _overshoot(worst, top, bottom, lo, hi):
-    # Python's max drops a NaN that is not its first argument, so a state
-    # holding NaN (np.max and np.min propagate it) is made to give NaN,
-    # which stays NaN in later calls and fails every bound.
-    return math.nan if math.isnan(top) else max(worst, top - hi, lo - bottom)
-
-
 def check_range_preservation(f: Signal1D, trajectory, slack: float = 1e-12):
     """Whether every state stays inside [min f - slack, max f + slack].
 
@@ -92,19 +84,14 @@ def check_range_preservation(f: Signal1D, trajectory, slack: float = 1e-12):
     beyond the input range, zero if there is none, and NaN once a state
     holds NaN, which counts as out of range.
     """
-    states = list(trajectory)
+    states = [state.values for state in trajectory]
     if not states:
         raise ValueError("trajectory must contain at least one state")
-    lo = float(np.min(f.values))
-    hi = float(np.max(f.values))
-    worst = 0.0
-    for state in states:
-        x = state.values
-        if x.size != len(f):
-            raise ValueError("trajectory states must match the input length")
-        worst = _overshoot(worst, float(np.max(x)), float(np.min(x)), lo, hi)
-    worst = max(worst, 0.0)
-    return worst <= slack, worst
+    if any(x.size != len(f) for x in states):
+        raise ValueError("trajectory states must match the input length")
+    # L = tau = 1 only fill report fields that are not read here.
+    report = _observe(f, states, 1.0, 1.0, slack)[0]
+    return report.range_ok, report.worst_overshoot
 
 
 def analyze(
@@ -147,7 +134,10 @@ def _observe(f, states, L, tau, slack=1e-12):
             for i in np.flatnonzero(~((x <= hi + slack) & (x >= lo - slack))):
                 if len(violations) < _MAX_RECORDED_VIOLATIONS:
                     violations.append((k, int(i), float(x[i])))
-        worst = _overshoot(worst, top, bottom, lo, hi)
+        # Python's max drops a NaN that is not its first argument, so a state
+        # holding NaN (np.max and np.min propagate it) is made to give NaN,
+        # which stays NaN in later steps and fails every bound.
+        worst = math.nan if math.isnan(top) else max(worst, top - hi, lo - bottom)
     worst = max(worst, 0.0)
     report = StabilityReport(
         lipschitz=L,

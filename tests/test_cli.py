@@ -200,18 +200,33 @@ FLAG_CASES = {
     "variational-steps-0": (_denoise("variational", "--steps", "0"),
                             "variational needs --steps >= 1, got 0", True),
     "wavelet-time": (_denoise("wavelet", "--time", "1"),
-                     "method 'wavelet' needs --steps, not --time", False),
+                     "method 'wavelet' needs --steps, not --time", True),
     "compare-family": (("compare", "--family", "nope"), "unknown family 'nope'", True),
     "compare-tau-negative": (("compare", "--tau", "-1"),
-                             "tau must be positive and finite, got -1.0", False),
-    "compare-tau-nan": (("compare", "--tau", "nan"), "tau must be positive and finite, got nan", False),
-    "compare-steps-0": (("compare", "--steps", "0"), "variational needs --steps >= 1, got 0", False),
+                             "tau must be positive and finite, got -1.0", True),
+    "compare-tau-nan": (("compare", "--tau", "nan"), "tau must be positive and finite, got nan", True),
+    "compare-steps-0": (("compare", "--steps", "0"), "variational needs --steps >= 1, got 0", True),
     "compare-steps-negative": (("compare", "--steps", "-1"),
-                               "diffusion needs --steps >= 0, got -1", False),
+                               "diffusion needs --steps >= 0, got -1", True),
+    "stability-family": (("stability", "--family", "nope"), "unknown family 'nope'", True),
+    "stability-steps-0": (("stability", "--steps", "0"),
+                          "stability needs --steps >= 1, got 0", True),
+    "stability-steps-negative": (("stability", "--steps", "-1"),
+                                 "stability needs --steps >= 1, got -1", True),
+    "stability-tau-negative": (("stability", "--tau", "-1"),
+                               "tau must be positive and finite, got -1.0", True),
+    "stability-tau-nan": (("stability", "--tau", "nan"),
+                          "tau must be positive and finite, got nan", True),
+    "seed-negative": (_denoise("diffusion", "--time", "1", "--noise", "uniform",
+                               "--amplitude", "0.1", "--seed", "-3"),
+                      "--seed must be nonnegative, got -3", True),
     "noise-command-no-seed": (("noise", "--noise", "gaussian", "--sigma", "0.1"),
                               "a seed is mandatory when noise is added", True),
     "noise-command-no-sigma": (("noise", "--noise", "uniform", "--seed", "1"),
                                "uniform noise needs --amplitude", True),
+    "noise-command-seed-negative": (("noise", "--noise", "gaussian", "--sigma", "0.1",
+                                     "--seed", "-1"),
+                                    "--seed must be nonnegative, got -1", True),
 }
 
 
@@ -241,10 +256,12 @@ class TestNegativeLists:
         assert len(glued.out.split()) == len(points.split(","))
 
     def test_levels_with_a_space_parses_like_levels_equals(self, tmp_path):
-        for name, levels in (("a.csv", ["--levels=-1,2"]), ("b.csv", ["--levels", "-1,2"])):
+        for name, levels in (("a.csv", ["--levels=-1,2"]), ("b.csv", ["--levels", "-1,2"]),
+                             ("c.csv", ["--lev", "-1,2"]), ("d.csv", ["--leve", "-1,2"])):
             argv = ["generate", "--kind", "piecewise", "--n", "8", "--out", str(tmp_path / name)]
             assert main(argv + levels) == 0
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        for name in ("b.csv", "c.csv", "d.csv"):
+            assert (tmp_path / "a.csv").read_bytes() == (tmp_path / name).read_bytes()
         np.testing.assert_array_equal(read_signal_csv(tmp_path / "b.csv").values, [-1] * 4 + [2] * 4)
 
     @pytest.mark.parametrize("argv,flag", [
@@ -745,5 +762,9 @@ class TestStepBudget:
         assert main(["compare", "--input", str(sig), "--outdir", str(tmp_path / "cmp"),
                      "--steps", m]) == 3
         assert main(["stability", "--input", str(sig), "--steps", m]) == 3
+        missing = str(tmp_path / "missing.csv")
+        assert main(["compare", "--input", missing, "--outdir", str(tmp_path / "cmp"),
+                     "--steps", m]) == 3
+        assert main(["stability", "--input", missing, "--steps", m]) == 3
         assert capsys.readouterr().out == ""
         assert sorted(os.listdir(tmp_path)) == ["f.csv"]

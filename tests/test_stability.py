@@ -78,16 +78,25 @@ class TestRangePreservation:
         ok, worst = check_range_preservation(f, traj)
         assert not ok
         assert worst > 0.1
+        report = _observe(f, [s.values for s in traj], 1.0, 0.75)[0]
+        assert (ok, worst) == (report.range_ok, report.worst_overshoot)
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):
             check_range_preservation(Signal1D([0.0]), [])
+
+    def test_length_mismatch_rejected(self):
+        f = Signal1D([0.0, 1.0])
+        with pytest.raises(ValueError, match="trajectory states must match the input length"):
+            check_range_preservation(f, [f, Signal1D([0.0, 1.0, 0.5])])
 
     def test_nan_state_is_out_of_range(self):
         f, u = _nan_step()
         ok, worst = check_range_preservation(f, [f, u, f])
         assert not ok
         assert math.isnan(worst)
+        report = _observe(f, [f.values, u.values, f.values], 1.0, 0.1)[0]
+        assert report.range_ok is ok and math.isnan(report.worst_overshoot)
 
 
 def _nan_step():
