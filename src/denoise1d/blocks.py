@@ -132,8 +132,7 @@ def make_diffusion_block(phi: RoleFunction, tau: float, h: float) -> ResidualBlo
 
 def chain(blocks, f: Signal1D) -> Signal1D:
     """Left-to-right composition of blocks; an empty chain is the identity."""
-    x = _last(_chain_states(blocks, f.values), None)
-    return f if x is None else Signal1D._wrap(x, f.h)
+    return _last(_chain_states(blocks, f.values), f)
 
 
 def _chain_states(blocks, x):

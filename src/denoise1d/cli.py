@@ -47,10 +47,6 @@ _METHODS = ("diffusion", "wavelet", "variational", "resnet")
 _STEP_BUDGET = 10_000_000
 
 
-class UsageError(Exception):
-    pass
-
-
 class StabilityViolation(Exception):
     pass
 
@@ -64,9 +60,9 @@ class NoiseModel:
 
     def __post_init__(self):
         if self.kind not in ("none", "gaussian", "uniform"):
-            raise UsageError(f"unknown noise model {self.kind!r}")
+            raise ValueError(f"unknown noise model {self.kind!r}")
         if self.kind != "none" and (not np.isfinite(self.level) or self.level < 0.0):
-            raise UsageError(f"noise level must be nonnegative, got {self.level!r}")
+            raise ValueError(f"noise level must be nonnegative, got {self.level!r}")
 
 
 def generate_signal(kind: str, n: int, params=None) -> Signal1D:
@@ -78,7 +74,7 @@ def generate_signal(kind: str, n: int, params=None) -> Signal1D:
     levels.
     """
     if n < 1:
-        raise UsageError(f"need at least one sample, got N = {n!r}")
+        raise ValueError(f"need at least one sample, got N = {n!r}")
     if kind == "spike":
         x = np.zeros(n)
         x[n // 2] = 1.0
@@ -89,13 +85,13 @@ def generate_signal(kind: str, n: int, params=None) -> Signal1D:
     elif kind == "piecewise":
         levels = tuple(params) if params else (0.0, 1.0, 0.25, 0.75)
         if not levels or not all(np.isfinite(v) for v in levels):
-            raise UsageError("piecewise levels must be finite and nonempty")
+            raise ValueError("piecewise levels must be finite and nonempty")
         edges = np.linspace(0, n, len(levels) + 1).astype(int)
         x = np.empty(n)
         for lv, a, b in zip(levels, edges[:-1], edges[1:]):
             x[a:b] = lv
     else:
-        raise UsageError(f"unknown signal kind {kind!r}")
+        raise ValueError(f"unknown signal kind {kind!r}")
     return Signal1D(x)
 
 
@@ -139,34 +135,38 @@ def _family_spec(args) -> FamilySpec:
     try:
         family = Family(args.family)
     except ValueError:
-        raise UsageError(f"unknown family {args.family!r}") from None
+        raise ValueError(f"unknown family {args.family!r}") from None
     return FamilySpec(family=family, contrast=args.contrast, threshold=args.threshold)
 
 
 def _noise_model(args) -> NoiseModel:
+    unread = {"none": ("sigma", "amplitude", "seed"), "gaussian": ("amplitude",), "uniform": ("sigma",)}
+    for flag in unread[args.noise]:
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--noise {args.noise} does not read --{flag}")
     if args.noise == "none":
         return NoiseModel()
     level = args.sigma if args.noise == "gaussian" else args.amplitude
     if level is None:
         flag = "--sigma" if args.noise == "gaussian" else "--amplitude"
-        raise UsageError(f"{args.noise} noise needs {flag}")
+        raise ValueError(f"{args.noise} noise needs {flag}")
     model = NoiseModel(kind=args.noise, level=level)
     if args.seed is None:
-        raise UsageError("a seed is mandatory when noise is added")
+        raise ValueError("a seed is mandatory when noise is added")
     if args.seed < 0:
-        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     return model
 
 
 def _check_plan(method, steps, stopping_time=None):
     # The schedule checks that need no input, so they fire before it is read.
     if (stopping_time is None) == (steps is None):
-        raise UsageError("give exactly one of stopping time and step count")
+        raise ValueError("give exactly one of stopping time and step count")
     if stopping_time is not None and method != "diffusion":
-        raise UsageError(f"method {method!r} needs --steps, not --time")
+        raise ValueError(f"method {method!r} needs --steps, not --time")
     least = 1 if method in ("variational", "stability") else 0
     if steps is not None and steps < least:
-        raise UsageError(f"{method} needs --steps >= {least}, got {steps}")
+        raise ValueError(f"{method} needs --steps >= {least}, got {steps}")
     if steps is not None:
         _check_budget(steps)
 
@@ -214,14 +214,12 @@ def _cmd_generate(args):
     params = tuple(float(s) for s in args.levels.split(",")) if args.levels else None
     u = generate_signal(args.kind, args.n, params)
     write_signal_csv(args.out, u)
-    return 0
 
 
 def _cmd_noise(args):
     model = _noise_model(args)
     u = read_signal_csv(args.input)
     write_signal_csv(args.out, add_noise(u, model, args.seed))
-    return 0
 
 
 def _cmd_denoise(args):
@@ -237,7 +235,6 @@ def _cmd_denoise(args):
     write_signal_csv(args.out, Signal1D._wrap(x, f.h))
     with open(args.report or args.out + ".report", "w", encoding="ascii") as fh:
         fh.write("\n".join(report.to_lines()) + "\n")
-    return 0
 
 
 def _cmd_translate(args):
@@ -249,10 +246,9 @@ def _cmd_translate(args):
     )
     points = [float(s) for s in args.at.split(",")]
     if not all(map(math.isfinite, points)):
-        raise UsageError(f"evaluation points must be finite, got {args.at!r}")
+        raise ValueError(f"evaluation points must be finite, got {args.at!r}")
     for r in points:
         print(f"{fn(r):.17g}")
-    return 0
 
 
 def _cmd_stability(args):
@@ -270,7 +266,6 @@ def _cmd_stability(args):
         raise StabilityViolation(
             f"range violated; worst overshoot {report.worst_overshoot:g}"
         )
-    return 0
 
 
 def _cmd_compare(args):
@@ -281,11 +276,11 @@ def _cmd_compare(args):
         _check_plan(name, args.steps)
     f = read_signal_csv(args.input)
     if f.h != 1.0:
-        raise UsageError("compare requires grid size h = 1 (wavelet pairing)")
+        raise ValueError("compare requires grid size h = 1 (wavelet pairing)")
     outputs = {}
     for name in _METHODS:
         states = _denoise_signal(f, name, spec, tau, StepSizeMode.MAXMIN, args.steps)[0]
-        outputs[name] = Signal1D._wrap(_last(states, f.values), f.h)
+        outputs[name] = _last(states, f)
     os.makedirs(args.outdir, exist_ok=True)
     for name, sig in outputs.items():
         write_signal_csv(os.path.join(args.outdir, f"{name}.csv"), sig)
@@ -301,12 +296,11 @@ def _cmd_compare(args):
     print("\n".join(lines))
     with open(os.path.join(args.outdir, "deltas.txt"), "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
-    return 0
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _add_family_flags(p):
@@ -398,11 +392,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_glue_lists(sys.argv[1:] if argv is None else argv))
-        return args.fn(args)
+        args.fn(args)
+        return 0
     except (OSError, UnicodeDecodeError) as exc:  # a decode error is a ValueError too
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except StabilityViolation as exc:

@@ -8,8 +8,8 @@ through its two cell interfaces,
 with fd/bd the clamped forward/backward differences.  Equivalently the
 update is a conservation form: interface fluxes, with zero flux through
 the reflecting walls, so the sample sum is preserved exactly up to
-rounding.  Every method that takes explicit steps runs the step loop
-and the Lipschitz guard defined here.
+rounding.  Each method has its own state generator, and every run
+finishes through the one drain, ``_last``, defined here.
 """
 
 from __future__ import annotations
@@ -82,11 +82,13 @@ def _states(x, phi, tau, m, h):
         yield x
 
 
-def _last(states, x):
-    # Drains a state generator; its last state, x when it yields none.
+def _last(states, f):
+    # The one drain of a run: its last state as a Signal1D on f's grid,
+    # f itself when the run takes no step.
+    x = None
     for x in states:
         pass
-    return x
+    return f if x is None else Signal1D._wrap(x, f.h)
 
 
 def explicit_step(u: Signal1D, phi: RoleFunction, tau: float) -> Signal1D:
@@ -121,7 +123,10 @@ def _schedule(f, phi, T, mode):
     tau_max = max_stable_tau(L, f.h, mode)
     if T == 0.0:
         return L, tau_max, 0
-    m = max(1, int(math.ceil(T / tau_max)))  # T/tau_max can underflow to 0
+    steps = T / tau_max
+    if math.isinf(steps):
+        raise ValueError(f"stopping time {T!r} needs a step count that overflows float64")
+    m = max(1, int(math.ceil(steps)))  # T/tau_max can underflow to 0
     if T / m > tau_max:  # T/m can round one ulp above the bound
         m += 1
     return L, T / m, m
@@ -142,8 +147,5 @@ def diffuse(
     Returns the filtered signal and the :class:`DiffusionPlan` used.
     """
     _, tau, m = _schedule(f, phi, T, mode)
-    if m == 0:
-        return f, DiffusionPlan(phi=phi, tau=tau, steps=0, h=f.h, stopping_time=0.0)
-    x = _last(_states(f.values, phi, tau, m, f.h), None)
     plan = DiffusionPlan(phi=phi, tau=tau, steps=m, h=f.h, stopping_time=m * tau)
-    return Signal1D._wrap(x, f.h), plan
+    return _last(_states(f.values, phi, tau, m, f.h), f), plan

@@ -90,8 +90,7 @@ def iterate_shrinkage(f: Signal1D, shrink: RoleFunction, m: int) -> Signal1D:
     if shrink.role is not Role.SHRINKAGE:
         raise ValueError("iterate_shrinkage expects a shrinkage function")
     _require_unit_grid(f.h)
-    x = _last(_shrink_states(f.values, shrink.evaluator, m), None)
-    return f if x is None else Signal1D._wrap(x, 1.0)
+    return _last(_shrink_states(f.values, shrink.evaluator, m), f)
 
 
 def _shrink_states(x, ev, m):

@@ -66,8 +66,6 @@ class StabilityReport:
 
 def _count_sign_changes(x):
     s = x[x != 0.0]
-    if s.size < 2:
-        return 0
     sg = np.sign(s)
     return int(np.count_nonzero(sg[1:] != sg[:-1]))
 

@@ -95,7 +95,7 @@ def minimize_by_diffusion(f: Signal1D, spec: EnergySpec, m: int) -> Signal1D:
             f"tau = alpha/m = {tau:g} exceeds the stability bound {tau_max:g}; "
             f"use m >= {int(math.ceil(spec.alpha / tau_max))}"
         )
-    return Signal1D._wrap(_last(_states(f.values, phi, tau, m, f.h), None), f.h)
+    return _last(_states(f.values, phi, tau, m, f.h), f)
 
 
 def tikhonov_solve_oracle(f: Signal1D, alpha: float) -> Signal1D:

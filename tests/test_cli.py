@@ -227,6 +227,18 @@ FLAG_CASES = {
     "noise-command-seed-negative": (("noise", "--noise", "gaussian", "--sigma", "0.1",
                                      "--seed", "-1"),
                                     "--seed must be nonnegative, got -1", True),
+    "noise-command-seed-unread": (("noise", "--seed", "-3"),
+                                  "--noise none does not read --seed", True),
+    "noise-command-sigma-unread": (("noise", "--sigma", "0.1"),
+                                   "--noise none does not read --sigma", True),
+    "noise-command-uniform-sigma": (("noise", "--noise", "uniform", "--amplitude", "0.1",
+                                     "--sigma", "0.2", "--seed", "1"),
+                                    "--noise uniform does not read --sigma", True),
+    "seed-unread": (_denoise("diffusion", "--steps", "2", "--seed", "5"),
+                    "--noise none does not read --seed", True),
+    "gaussian-amplitude": (_denoise("diffusion", "--time", "1", "--noise", "gaussian",
+                                    "--sigma", "0.1", "--amplitude", "0.1", "--seed", "1"),
+                           "--noise gaussian does not read --amplitude", True),
 }
 
 
@@ -564,7 +576,7 @@ class TestVariationalStepsWithTheGivenTau:
         assert main(base + ["--method", "diffusion"]) == 0
         assert main(base + ["--method", "variational"]) == 0
         np.testing.assert_array_equal(read_signal_csv(out).values,
-                                      _last(_states(f.values, phi, tau, m, 1.0), None))
+                                      _last(_states(f.values, phi, tau, m, 1.0), f).values)
         assert float(_report(str(out) + ".report")["tau_used"]) == tau
 
 
@@ -622,7 +634,7 @@ class TestReportComesFromTheRun:
         phi = make_role_function(FamilySpec(Family.TRUNCATED_QUADRATIC), Role.ACTIVATION)
         shrink = translate(phi, Role.SHRINKAGE, CouplingParams(tau=0.75))
         assert [count_sign_changes(iterate_shrinkage(f, shrink, k)) for k in range(1, 8)] != [
-            count_sign_changes(Signal1D(_last(_states(f.values, phi, 0.75, k, 1.0), None)))
+            count_sign_changes(_last(_states(f.values, phi, 0.75, k, 1.0), f))
             for k in range(1, 8)]
         sig, out = tmp_path / "f.csv", tmp_path / "o.csv"
         write_signal_csv(sig, f)
@@ -754,6 +766,19 @@ class TestStepBudget:
         m = _STEP_BUDGET + 1
         self.over_budget(tmp_path, capsys, [0.0, 1.0, 0.5],
                          ["denoise", "--method", method, "--steps", str(m)], m)
+
+    def test_a_time_whose_step_count_overflows_is_a_usage_error(self, tmp_path, capsys):
+        # T/tau_max is inf for T = 1e308; a finite count above the budget exits 3.
+        sig, out = tmp_path / "f.csv", tmp_path / "o.csv"
+        sig.write_text("0.0\n1.0\n0.5\n0.25\n")
+        args = ["denoise", "--method", "diffusion", "--input", str(sig), "--out", str(out),
+                "--family", "perona-malik", "--time"]
+        assert main(args + ["1e308"]) == 1
+        assert capsys.readouterr().err == ("usage error: stopping time 1e+308 needs a step "
+                                           "count that overflows float64\n")
+        assert main(args + ["1e300"]) == 3
+        assert capsys.readouterr().err.startswith("stability violation: the run needs m = ")
+        assert sorted(os.listdir(tmp_path)) == ["f.csv"]
 
     def test_compare_and_stability_too(self, tmp_path, capsys):
         sig = tmp_path / "f.csv"

@@ -1,8 +1,8 @@
 """Golden digests of the bytes the command line writes.
 
 Each case runs ``denoise1d`` in process on one fixed input (40 samples
-in [0, 1], h = 1) and hashes its exit code, stdout, stderr and every
-file it writes.  A change meant to keep the CLI's behaviour must keep
+in [0, 1], h = 1, or h = 0.5 where the case says so) and hashes its
+exit code, stdout, stderr and every file it writes.  A change meant to keep the CLI's behaviour must keep
 every digest; a case that differs is named in the failure.
 """
 
@@ -10,6 +10,7 @@ import contextlib
 import hashlib
 import io
 import os
+import shutil
 
 import pytest
 
@@ -28,6 +29,12 @@ DENOISE_PARAMS = ["--contrast", "0.5", "--threshold", "0.5"]
 # 40 samples k/40, k = 37*i mod 41: every value in [0, 1], no two
 # neighbours equal, written as the shortest round-trip decimals.
 INPUT = "".join(f"{(37 * i % 41) / 40!r}\n" for i in range(40))
+
+# Inputs other than INPUT, by case name.
+SOURCES = {"compare/h-0.5": "# h=0.5\n" + INPUT}
+
+# Stand-ins in a case's argv for the paths of one run.
+IN, OUT, OUTDIR = "<in>", "<out>", "<outdir>"
 
 
 def denoise_cases():
@@ -55,26 +62,55 @@ def translate_cases():
                         "--to", dst, f"--at={POINTS}"])
 
 
-def digest(argv, workdir):
+def command_cases():
+    # generate, noise, stability and compare; the last stability case is
+    # beyond the bound and exits 3, the last compare case exits 1.
+    for kind in ("step", "sine", "piecewise", "spike"):
+        yield f"generate/{kind}", ["generate", "--kind", kind, "--n", "40", "--out", OUT]
+    yield ("generate/piecewise-levels",
+           ["generate", "--kind", "piecewise", "--n", "40", "--levels", "-1,2,0.5", "--out", OUT])
+    for noise, level in (("gaussian", "--sigma"), ("uniform", "--amplitude")):
+        yield (f"noise/{noise}", ["noise", "--input", IN, "--out", OUT, "--noise", noise,
+                                  level, "0.1", "--seed", "7"])
+    for family, tau in (("perona-malik", "0.25"), ("truncated-tv", "0.25"), ("constant", "0.75")):
+        yield (f"stability/{family}/{tau}",
+               ["stability", "--input", IN, "--out", OUT, "--family", family, "--tau", tau,
+                "--steps", "8"] + DENOISE_PARAMS)
+    for family in ("perona-malik", "charbonnier"):
+        yield (f"compare/{family}", ["compare", "--input", IN, "--outdir", OUTDIR,
+                                     "--family", family, "--steps", "8"] + DENOISE_PARAMS)
+    yield "compare/h-0.5", ["compare", "--input", IN, "--outdir", OUTDIR, "--steps", "8"]
+
+
+def digest(argv, workdir, source=INPUT):
     """SHA-256 of one in-process run: exit code, stdout, stderr, files written."""
     inp = os.path.join(workdir, "in.csv")
     out = os.path.join(workdir, "out.csv")
     with open(inp, "w", encoding="ascii") as fh:
-        fh.write(INPUT)
+        fh.write(source)
     if argv[0] == "denoise":
         argv = argv + ["--input", inp, "--out", out] + DENOISE_PARAMS
+    paths = {IN: inp, OUT: out, OUTDIR: os.path.join(workdir, "out")}
+    argv = [paths.get(a, a) for a in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
     h = hashlib.sha256(f"exit={code}\n".encode())
     h.update(b"\0stdout\0" + stdout.getvalue().encode())
     h.update(b"\0stderr\0" + stderr.getvalue().encode())
-    for name in sorted(os.listdir(workdir)):
-        path = os.path.join(workdir, name)
+    # Files by their path under workdir, so a written directory is hashed too.
+    names = sorted(os.path.relpath(os.path.join(root, f), workdir)
+                   for root, _, files in os.walk(workdir) for f in files)
+    for name in names:
         if name != "in.csv":
-            with open(path, "rb") as fh:
+            with open(os.path.join(workdir, name), "rb") as fh:
                 h.update(f"\0{name}\0".encode() + fh.read())
-        os.remove(path)
+    for name in os.listdir(workdir):
+        path = os.path.join(workdir, name)
+        if os.path.isdir(path):
+            shutil.rmtree(path)
+        else:
+            os.remove(path)
     return h.hexdigest()
 
 
@@ -235,10 +271,24 @@ GOLDEN = {
     "translate/truncated-quadratic/activation/regulariser": "45f680991c9ba17c754610caa2257aefc613f9a8a31026a9e556c31afa017dc1",
     "translate/truncated-quadratic/activation/shrinkage": "488c945488f861553f7163aebb3ed7ae988bc040a03174698696ee5cfc18c2e7",
     "translate/truncated-quadratic/activation/activation": "06177d9ddd4df4fa6c8160259582b8fc7ec2027e4e7121b277604775937b47ec",
+    "generate/step": "73e12e1f483a78aa583c69f095972d427144ba8c1fa12ed4e98c9fc55a7b78e2",
+    "generate/sine": "fe9afce2c3ef98325a67c6b734535490e119ed7a07d59d82caf8e248d9ae5e5e",
+    "generate/piecewise": "577c2bec1ff0748842c0236e0bb9ebe10f12b6e63d311ac404a94acf5a9c2a3c",
+    "generate/spike": "9c0cb4e03975e38bc5c965a3e79fa52f69792f2b5c30c56c3a50cb415630bae2",
+    "generate/piecewise-levels": "7414e2f6d48f795087fe49a73f9919214cb1b43826f3f63a08c80880df8ab635",
+    "noise/gaussian": "f91f6f459772f370423fc6cbabe383534faa9f34aacba2043ebb73c61c50060d",
+    "noise/uniform": "c917049af7460cedf4f63108317f997f4899341f4377f0b488df68c46f87d11e",
+    "stability/perona-malik/0.25": "7e197e72980b172d1f7da9ef62b79c9566a0274c6a6a02536df39fb5b2528963",
+    "stability/truncated-tv/0.25": "a469c0af8401da5cbd5aab8f82a0ef0c2cd8fe7e595b108ac078006b5bf46c6b",
+    "stability/constant/0.75": "3bc8e1facbe2f964edd4dfc6fca80992f65498f5dd969c5758f2a246c7e03340",
+    "compare/perona-malik": "08e3a0a60c5862109aa5d0492a5eee2748571717c7966f380f6f00bc081951cd",
+    "compare/charbonnier": "f038272c53e613d5882d813aa289c14f712b220e58fedf67145a178e8d8bade4",
+    "compare/h-0.5": "266feef256b45364d26e479f44b9e913c49e1d4030d173377c764ddbff3d6885",
 }
 
 
-@pytest.mark.parametrize("cases", (denoise_cases, translate_cases))
+@pytest.mark.parametrize("cases", (denoise_cases, translate_cases, command_cases))
 def test_cli_bytes_match_the_golden_digests(tmp_path, cases):
-    got = {name: digest(argv, str(tmp_path)) for name, argv in cases()}
+    got = {name: digest(argv, str(tmp_path), SOURCES.get(name, INPUT))
+           for name, argv in cases()}
     assert {k: v for k, v in got.items() if GOLDEN.get(k) != v} == {}

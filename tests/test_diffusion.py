@@ -113,6 +113,15 @@ class TestDiffuse:
         assert plan.steps == 0
         assert plan.stopping_time == 0.0
 
+    def test_zero_time_returns_f_itself(self):
+        f = Signal1D([1.0, 2.0, 0.5])
+        assert diffuse(f, phi_of(Family.PERONA_MALIK), 0)[0] is f
+
+    def test_time_whose_step_count_overflows_is_rejected(self):
+        f = Signal1D([0.0, 1.0, 0.5, 0.25])
+        with pytest.raises(ValueError, match=r"^stopping time 1e\+308 needs a step count"):
+            diffuse(f, phi_of(Family.PERONA_MALIK), 1e308)
+
     def test_single_step_reduction(self):
         f = Signal1D([0.0, 0.0, 1.0, 0.0, 0.0])
         out, plan = diffuse(f, phi_of(Family.CONSTANT), 0.25, StepSizeMode.MAXMIN)

@@ -1,6 +1,7 @@
 """Every name a denoise1d module imports is used there, exported through
 ``__all__`` (the package ``__init__``), or marked ``# noqa: F401`` for
-bench/tracing.py, which wraps it by name in that module."""
+bench/tracing.py, which wraps it by name in that module; and every
+private name a module defines is used somewhere in the package."""
 
 import ast
 import importlib.util
@@ -50,4 +51,45 @@ def test_every_import_is_used(module):
                 unused.append(f"{module}.py:{line} {name} (noqa, but not traced)")
         elif name not in used and name not in exported:
             unused.append(f"{module}.py:{line} {name}")
+    assert not unused, unused
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_definitions(tree):
+    # Module-level functions, classes and constants that __all__ does not
+    # export, and methods named _x.
+    for node in tree.body:
+        names = []
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        yield from (n for n in names if n not in denoise1d.__all__ and not n.endswith("__"))
+        if isinstance(node, ast.ClassDef):
+            yield from (m.name for m in node.body
+                        if isinstance(m, ast.FunctionDef) and _is_private(m.name))
+
+
+def test_every_private_name_is_used():
+    # A private name is read (as a name or an attribute) somewhere in the
+    # package besides its definition; an import alone does not count.
+    trees = {}
+    for module in MODULES:
+        with open(os.path.join(PKG, module + ".py"), encoding="utf-8") as fh:
+            trees[module] = ast.parse(fh.read())
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    defined = [(module, name) for module, tree in trees.items()
+               for name in _private_definitions(tree)]
+    assert ("diffusion", "_last") in defined  # the walk sees the definitions
+    unused = [f"{module}.py {name}" for module, name in defined if name not in read]
     assert not unused, unused
