@@ -9,6 +9,13 @@ ghosts at the reflecting walls are zero.  With the diffusion wiring
 (W1 the forward difference, W2 tau times the backward difference,
 sigma1 the flux function, sigma2 the identity, no biases) a block
 reproduces one explicit diffusion step to rounding.
+
+Like the diffusion step, a block over more than ``diffusion._CHUNK``
+samples runs window by window.  Each window reads its input with a halo
+of p1 + p2 samples (p the half-width of a stencil), which carries what it
+needs from its neighbours: sigma1 is evaluated on the window's inner
+values plus p2 on each side, so halo values are computed by both
+windows that read them.
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .diffusion import _last
+from . import diffusion
+from .diffusion import _last, _windows
 from .nonlinearities import SQRT2, Role, RoleFunction
 from .signals import Signal1D
 
@@ -45,15 +53,17 @@ def _as_bias(b):
     return bb
 
 
-def _conv(x, taps, p, edge):
-    # Centred correlation over the nonzero taps only.  Ghost samples are
-    # edge-clamped (reflecting samples) or zero (reflecting walls seen by
-    # a flux array), depending on ``edge``.
-    n = x.size
-    xp = np.empty(n + 2 * p)
-    xp[p : p + n] = x
-    xp[:p] = x[0] if edge else 0.0
-    xp[p + n :] = x[-1] if edge else 0.0
+def _correlate(x, taps, p, left, right, edge):
+    # Centred correlation over the nonzero taps only, summed in stencil
+    # order, of x read with ``left`` and ``right`` ghost samples past its
+    # ends.  Ghosts are edge-clamped (reflecting samples) or zero
+    # (reflecting walls seen by a flux array), depending on ``edge``.
+    m = x.size
+    xp = np.empty(left + m + right)
+    xp[left : left + m] = x
+    xp[:left] = x[0] if edge else 0.0
+    xp[left + m :] = x[-1] if edge else 0.0
+    n = left + m + right - 2 * p
     out = None
     for j, kj in taps:
         term = kj * xp[j : j + n]
@@ -61,7 +71,7 @@ def _conv(x, taps, p, edge):
             out = term
         else:
             out += term
-    return np.zeros_like(x) if out is None else out
+    return np.zeros(n) if out is None else out
 
 
 def _nonzero_taps(k):
@@ -100,14 +110,33 @@ def _apply(block, x):
     for b in (block.b1, block.b2):
         if b.size and b.size != x.size:
             raise ValueError(f"bias length {b.size} does not match signal length {x.size}")
-    inner = _conv(x, block._taps1, block._p1, edge=True)
-    if block.b1.size:
-        inner += block.b1
+    n, p1, p2 = x.size, block._p1, block._p2
+    if n <= diffusion._CHUNK:
+        return np.asarray(_residual(block, x, p1, p1, p2, p2, block.b1, block.b2, x), dtype=np.float64)
+    out = np.empty_like(x)
+    for a, b in _windows(n):
+        # The outer stencil reads inner values over [a - p2, b + p2); those
+        # in [lo, hi) lie in the signal and read x over [s, t) plus ghosts.
+        lo, hi = max(a - p2, 0), min(b + p2, n)
+        s, t = max(lo - p1, 0), min(hi + p1, n)
+        out[a:b] = _residual(
+            block, x[s:t], s - lo + p1, hi + p1 - t, lo - a + p2, b + p2 - hi, block.b1[lo:hi], block.b2[a:b], x[a:b]
+        )
+    return out
+
+
+def _residual(block, x_in, l1, r1, l2, r2, b1, b2, x_out):
+    # The block on one window: W1 reads x_in with l1 and r1 edge-clamped
+    # ghosts, W2 reads sigma1's values with l2 and r2 zero ghosts, and the
+    # skip connection adds x_out.  Empty biases are skipped.
+    inner = _correlate(x_in, block._taps1, block._p1, l1, r1, edge=True)
+    if b1.size:
+        inner += b1
     mid = block.sigma1(inner)
-    outer = _conv(mid, block._taps2, block._p2, edge=False)
-    if block.b2.size:
-        outer += block.b2
-    return np.asarray(block.sigma2(x + outer), dtype=np.float64)
+    outer = _correlate(mid, block._taps2, block._p2, l2, r2, edge=False)
+    if b2.size:
+        outer += b2
+    return block.sigma2(x_out + outer)
 
 
 def make_diffusion_block(phi: RoleFunction, tau: float, h: float) -> ResidualBlock:

@@ -116,13 +116,16 @@ class RoleFunction:
     """A scalar nonlinearity tagged with the role it plays.
 
     ``evaluator`` maps float64 arrays to arrays elementwise; calling the
-    RoleFunction accepts scalars too.  ``provenance`` records how the
-    function was obtained (closed form, translation chain, or user
-    supplied).  ``derivative`` is an optional analytic d/dr used by the
-    regulariser translations; ``breakpoints`` lists the radii where the
-    function is not smooth, so quadrature can split there.
-    ``constants`` records (name, value) pairs consumed by earlier
-    translation hops.
+    RoleFunction accepts scalars too.  It must not mix samples: the step
+    kernels call it on windows of a long signal, so an evaluator whose
+    output at one index reads other indices (one that subtracts the
+    mean, say) gives results that depend on the window.
+    ``provenance`` records how the function was obtained (closed form,
+    translation chain, or user supplied).  ``derivative`` is an optional
+    analytic d/dr used by the regulariser translations; ``breakpoints``
+    lists the radii where the function is not smooth, so quadrature can
+    split there.  ``constants`` records (name, value) pairs consumed by
+    earlier translation hops.
     """
 
     role: Role
@@ -139,7 +142,12 @@ class RoleFunction:
 
 
 def user_role_function(role, func, name="user-supplied"):
-    """Wrap a numpy-vectorised callable as a RoleFunction of the given role."""
+    """Wrap a numpy-vectorised callable as a RoleFunction of the given role.
+
+    ``func`` must be elementwise: the step kernels call it on windows of
+    a long signal, so one that mixes samples gives window-dependent
+    results.
+    """
     return RoleFunction(role=role, evaluator=func, provenance=(name,))
 
 

@@ -15,6 +15,11 @@ difference is the forward difference shifted by one, and the clamped
 forward difference is zero at the right wall, so its last value S(0)
 is also the wall value the backward side needs.  Grid size 1
 is required; the pairing of neighbouring samples has no scale parameter.
+
+Like the flux step, a step over more than ``diffusion._CHUNK`` samples
+runs window by window.  A window carries the forward difference and the
+S value of the interface left of it from the window before; sample 0 is
+finished last, once the wall value S(0) is known.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import _last
+from . import diffusion
+from .diffusion import _last, _windows
 from .nonlinearities import SQRT2, Role, RoleFunction
 from .signals import Signal1D, _fdiff
 
@@ -50,24 +56,43 @@ def shrink_pair(a: float, b: float, shrink: RoleFunction):
     return (s - sw) / SQRT2, (s + sw) / SQRT2
 
 
-def _shift_invariant_values(x, ev):
-    # Closed form of the cycle-spun step:
+def _haar_update(x, fd, s, fd_left, s_left):
+    # Closed form of the cycle-spun step on one window:
     #   u + (fd - bd)/4 + (S(bd/sqrt2) - S(fd/sqrt2)) / (2 sqrt2)
     # with clamped differences, which is exactly the average of each
-    # sample's two pair reconstructions.  S is evaluated once per
-    # interface, on fd/sqrt2: bd is fd shifted right by one behind a zero
-    # wall, and fd[-1] = 0, so s[-1] = S(0) is the wall value and
-    # S(bd/sqrt2) = (s[-1], s[0], ..., s[-2]).  Each entry below is the
-    # same scalar subtraction as in fd - bd and S(bd/sqrt2) - S(fd/sqrt2).
-    fd = _fdiff(x, 1.0)
-    s = ev(fd / SQRT2)
+    # sample's two pair reconstructions.  fd and s = S(fd/sqrt2) belong to
+    # the samples' right interfaces, fd_left and s_left to the interface
+    # left of the first, so bd and S(bd/sqrt2) are fd and s shifted right
+    # by one behind them.  Each entry below is the same scalar subtraction
+    # as in fd - bd and S(bd/sqrt2) - S(fd/sqrt2).
     d = np.empty_like(fd)  # fd - bd
-    d[0] = fd[0]
+    d[0] = fd[0] - fd_left
     np.subtract(fd[1:], fd[:-1], out=d[1:])
     e = np.empty_like(s)  # S(bd/sqrt2) - S(fd/sqrt2)
-    e[0] = s[-1] - s[0]
+    e[0] = s_left - s[0]
     np.subtract(s[:-1], s[1:], out=e[1:])
     return x + 0.25 * d + e / (2.0 * SQRT2)
+
+
+def _shift_invariant_values(x, ev):
+    # S is evaluated once per interface, on fd/sqrt2: bd is fd shifted
+    # right by one behind a zero wall, and fd[-1] = 0, so s[-1] = S(0) is
+    # the wall value.
+    if x.size <= diffusion._CHUNK:
+        fd = _fdiff(x, 1.0)
+        s = ev(fd / SQRT2)
+        return _haar_update(x, fd, s, 0.0, s[-1])
+    out = np.empty_like(x)
+    fd_left = s_left = 0.0  # sample 0 is finished below, once S(0) is known
+    for a, b in _windows(x.size):
+        fd = _fdiff(x[a : b + 1], 1.0)[: b - a]
+        s = ev(fd / SQRT2)
+        out[a:b] = _haar_update(x[a:b], fd, s, fd_left, s_left)
+        if a == 0:
+            head = (fd[:1], s[:1])
+        fd_left, s_left = fd[-1], s[-1]
+    out[:1] = _haar_update(x[:1], *head, 0.0, s_left)  # s_left is now S(0)
+    return out
 
 
 def _require_unit_grid(h):

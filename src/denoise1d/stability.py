@@ -127,11 +127,12 @@ def _observe(f, states, L, tau, slack=1e-12):
         counts.append(_count_sign_changes(x))
         top = float(np.max(x))
         bottom = float(np.min(x))
-        # Masks only for a state out of range; the negations catch NaN.
-        if not (top <= hi + slack and bottom >= lo - slack):
-            for i in np.flatnonzero(~((x <= hi + slack) & (x >= lo - slack))):
-                if len(violations) < _MAX_RECORDED_VIOLATIONS:
-                    violations.append((k, int(i), float(x[i])))
+        # Masks only for a state out of range while the record has room;
+        # the negations catch NaN.
+        room = _MAX_RECORDED_VIOLATIONS - len(violations)
+        if room and not (top <= hi + slack and bottom >= lo - slack):
+            for i in np.flatnonzero(~((x <= hi + slack) & (x >= lo - slack)))[:room]:
+                violations.append((k, int(i), float(x[i])))
         # Python's max drops a NaN that is not its first argument, so a state
         # holding NaN (np.max and np.min propagate it) is made to give NaN,
         # which stays NaN in later steps and fails every bound.

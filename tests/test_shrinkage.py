@@ -1,5 +1,6 @@
 import math
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from denoise1d import (
     translate,
     user_role_function,
 )
+from denoise1d import diffusion
 from denoise1d.nonlinearities import SQRT2 as _SQRT2
 from denoise1d.shrinkage import _shift_invariant_values
 from denoise1d.signals import _fdiff
@@ -217,6 +219,14 @@ class TestOneEvaluationPerInterface:
         u = Signal1D(np.linspace(0.0, 1.0, n) ** 2)
         shift_invariant_step(u, user_role_function(Role.SHRINKAGE, counter))
         assert counter.sizes == [n]
+
+    @pytest.mark.parametrize("n, chunk", [(5, 2), (6, 3), (17, 4), (3, 1)])
+    def test_windowed_step_asks_for_n_values_in_one_call_per_window(self, n, chunk):
+        counter = _CountingEvaluator(shrink_of(Family.PERONA_MALIK).evaluator)
+        u = Signal1D(np.linspace(0.0, 1.0, n) ** 2)
+        with mock.patch.object(diffusion, "_CHUNK", chunk):
+            shift_invariant_step(u, user_role_function(Role.SHRINKAGE, counter))
+        assert counter.sizes == [min(chunk, n - a) for a in range(0, n, chunk)]
 
     def test_iteration_asks_for_m_times_n_values(self):
         counter = _CountingEvaluator(shrink_of(Family.CHARBONNIER).evaluator)

@@ -15,6 +15,8 @@ from denoise1d import (
     explicit_step,
     make_role_function,
 )
+from denoise1d import stability
+from denoise1d.diffusion import _states
 from denoise1d.stability import _MAX_RECORDED_VIOLATIONS, _observe
 
 ALL_FAMILIES = tuple(Family)
@@ -123,6 +125,54 @@ class TestObserveNaN:
         report, _ = _observe(Signal1D(np.zeros(x.size)), [x], 1.0, 0.1)
         assert not report.range_ok
         assert len(report.violations) == _MAX_RECORDED_VIOLATIONS
+
+
+def _violations_by_full_scan(f, states, slack=1e-12):
+    # The violation record as _observe kept it when it scanned every
+    # out-of-range index of every state, also past the cap.
+    lo = float(np.min(f.values))
+    hi = float(np.max(f.values))
+    violations = []
+    for k, x in enumerate(states, 1):
+        top = float(np.max(x))
+        bottom = float(np.min(x))
+        if not (top <= hi + slack and bottom >= lo - slack):
+            for i in np.flatnonzero(~((x <= hi + slack) & (x >= lo - slack))):
+                if len(violations) < stability._MAX_RECORDED_VIOLATIONS:
+                    violations.append((k, int(i), float(x[i])))
+    return violations
+
+
+class TestViolationCap:
+    def overflowing_states(self):
+        # constant family at tau = 0.75 is above every bound: the range
+        # breaks at once and the error grows in every later state.
+        f = Signal1D(np.random.default_rng(44).uniform(-1, 1, 40))
+        return f, list(_states(f.values, phi_of(Family.CONSTANT), 0.75, 30, 1.0))
+
+    @pytest.mark.parametrize("cap", [1, 3, 7, 50, 10_000])
+    def test_overflowing_run_matches_the_full_scan(self, monkeypatch, cap):
+        monkeypatch.setattr(stability, "_MAX_RECORDED_VIOLATIONS", cap)
+        f, states = self.overflowing_states()
+        report = _observe(f, states, 1.0, 0.75)[0]
+        expected = _violations_by_full_scan(f, states)
+        assert report.violations == expected
+        lo, hi = float(np.min(f.values)), float(np.max(f.values))
+        outside = sum(int(np.count_nonzero((x > hi + 1e-12) | (x < lo - 1e-12))) for x in states)
+        assert outside > 50 and len(expected) == min(cap, outside)
+        # The overshoot still reads every state, also those past the cap.
+        assert report.worst_overshoot == max(max(float(np.max(x)) - hi, lo - float(np.min(x))) for x in states)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_nan_states_match_the_full_scan(self, monkeypatch, cap):
+        monkeypatch.setattr(stability, "_MAX_RECORDED_VIOLATIONS", cap)
+        f, u = _nan_step()
+        states = [u.values, np.full(3, np.nan), f.values]
+        report = _observe(f, states, 1.0, 0.1)[0]
+        expected = _violations_by_full_scan(f, states)
+        assert [(k, i, repr(v)) for k, i, v in report.violations] == [(k, i, repr(v)) for k, i, v in expected]
+        assert len(expected) == cap
+        assert math.isnan(report.worst_overshoot) and not report.range_ok
 
 
 class TestAnalyze:

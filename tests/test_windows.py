@@ -1,0 +1,220 @@
+"""Window edges of the step kernels, bit for bit.
+
+A step over more than ``diffusion._CHUNK`` samples runs window by
+window.  The references below are the whole-array kernels as they were
+before windowing, kept verbatim.  With ``_CHUNK`` patched to a few
+samples, every window edge, every carried boundary value and the wall
+value show up in short signals; outputs are compared as bit patterns,
+so signed zeros count.
+"""
+
+import math
+import zlib
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from denoise1d import (
+    CouplingParams,
+    Family,
+    FamilySpec,
+    ResidualBlock,
+    Role,
+    Signal1D,
+    estimate_lipschitz,
+    make_role_function,
+    relu,
+    translate,
+    user_role_function,
+)
+from denoise1d import diffusion
+from denoise1d.blocks import _apply
+from denoise1d.diffusion import _LIPSCHITZ_SAMPLES, _flux_step, _lipschitz
+from denoise1d.nonlinearities import SQRT2
+from denoise1d.shrinkage import _shift_invariant_values
+from denoise1d.signals import _fdiff
+
+CHUNKS = (1, 2, 3, 5)
+
+
+def _offset(r):
+    # phi(0) = S(0) = 0.3, so the wall value is not zero.
+    return r + 0.3
+
+
+ACTIVATIONS = tuple(make_role_function(FamilySpec(f), Role.ACTIVATION).evaluator for f in Family) + (
+    _offset,
+)
+SHRINKAGES = tuple(
+    translate(make_role_function(FamilySpec(f), Role.ACTIVATION), Role.SHRINKAGE, CouplingParams(tau=0.25)).evaluator
+    for f in Family
+) + (_offset,)
+VALUES = st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=64).map(lambda v: np.array(v, dtype=np.float64))
+
+
+def assert_bit_identical(a, b):
+    assert a.dtype == b.dtype == np.float64
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# -- whole-array references, verbatim -----------------------------------------
+
+
+def _whole_flux_divergence(x, ev, h):
+    w = ev(_fdiff(x, h))
+    div = np.empty_like(x)
+    div[0] = w[0] - w[-1]
+    np.subtract(w[1:], w[:-1], out=div[1:])
+    if h != 1.0:
+        div /= h
+    return div
+
+
+def _whole_flux_step(x, ev, tau, h):
+    return x + tau * _whole_flux_divergence(x, ev, h)
+
+
+def _whole_shift_invariant_values(x, ev):
+    fd = _fdiff(x, 1.0)
+    s = ev(fd / SQRT2)
+    d = np.empty_like(fd)  # fd - bd
+    d[0] = fd[0]
+    np.subtract(fd[1:], fd[:-1], out=d[1:])
+    e = np.empty_like(s)  # S(bd/sqrt2) - S(fd/sqrt2)
+    e[0] = s[-1] - s[0]
+    np.subtract(s[:-1], s[1:], out=e[1:])
+    return x + 0.25 * d + e / (2.0 * SQRT2)
+
+
+def _conv(x, taps, p, edge):
+    n = x.size
+    xp = np.empty(n + 2 * p)
+    xp[p : p + n] = x
+    xp[:p] = x[0] if edge else 0.0
+    xp[p + n :] = x[-1] if edge else 0.0
+    out = None
+    for j, kj in taps:
+        term = kj * xp[j : j + n]
+        if out is None:
+            out = term
+        else:
+            out += term
+    return np.zeros_like(x) if out is None else out
+
+
+def _whole_apply(block, x):
+    inner = _conv(x, block._taps1, block._p1, edge=True)
+    if block.b1.size:
+        inner += block.b1
+    mid = block.sigma1(inner)
+    outer = _conv(mid, block._taps2, block._p2, edge=False)
+    if block.b2.size:
+        outer += block.b2
+    return np.asarray(block.sigma2(x + outer), dtype=np.float64)
+
+
+def _whole_lipschitz(phi, f):
+    with np.errstate(over="ignore"):
+        r = 2.0 * float(np.max(np.abs(_fdiff(f.values, f.h))))
+    if not math.isfinite(r):
+        raise ValueError("the input's gradients overflow float64; rescale the signal")
+    return estimate_lipschitz(phi, r if r > 0.0 else 1.0, _LIPSCHITZ_SAMPLES)
+
+
+def _chunk(c):
+    return mock.patch.object(diffusion, "_CHUNK", c)
+
+
+# -- the kernels against them ---------------------------------------------------
+
+
+class TestWindowEdges:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(CHUNKS),
+        VALUES,
+        st.sampled_from(ACTIVATIONS),
+        st.sampled_from((0.1, 0.25)),
+        st.sampled_from((1.0, 0.5)),
+    )
+    def test_flux_step(self, chunk, x, ev, tau, h):
+        with _chunk(chunk):
+            out = _flux_step(x, ev, tau, h)
+        assert_bit_identical(out, _whole_flux_step(x, ev, tau, h))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(CHUNKS), VALUES, st.sampled_from(SHRINKAGES))
+    def test_shrinkage_step(self, chunk, x, ev):
+        with _chunk(chunk):
+            out = _shift_invariant_values(x, ev)
+        assert_bit_identical(out, _whole_shift_invariant_values(x, ev))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(CHUNKS), VALUES, st.data())
+    def test_block(self, chunk, x, data):
+        n = x.size
+        weight = st.sampled_from((0.0, 1.0, -1.0, 0.5, -0.3, 2.0))
+
+        def stencil():
+            return st.integers(0, 4).flatmap(lambda p: st.lists(weight, min_size=2 * p + 1, max_size=2 * p + 1))
+
+        def bias():
+            return st.one_of(st.just([]), st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+
+        block = ResidualBlock(
+            w1=data.draw(stencil()),
+            sigma1=data.draw(st.sampled_from(ACTIVATIONS)),
+            w2=data.draw(stencil()),
+            sigma2=data.draw(st.sampled_from((lambda r: r, relu, np.tanh))),
+            b1=data.draw(bias()),
+            b2=data.draw(bias()),
+        )
+        with _chunk(chunk):
+            out = _apply(block, x)
+        assert_bit_identical(out, _whole_apply(block, x))
+
+    @pytest.mark.parametrize("family", tuple(Family))
+    def test_three_windows_and_a_few_samples_at_the_real_chunk(self, family):
+        rng = np.random.default_rng(zlib.crc32(family.value.encode()))
+        x = rng.uniform(-4.0, 4.0, 3 * diffusion._CHUNK + 7)
+        ev = make_role_function(FamilySpec(family), Role.ACTIVATION).evaluator
+        assert_bit_identical(_flux_step(x, ev, 0.1, 0.5), _whole_flux_step(x, ev, 0.1, 0.5))
+        block = ResidualBlock(
+            w1=[0.5, 0.0, -1.0, 1.0, 0.25], sigma1=ev, w2=[-0.2, 0.2, 0.0], b1=rng.uniform(-1, 1, x.size)
+        )
+        assert_bit_identical(_apply(block, x), _whole_apply(block, x))
+
+
+class TestOneCallPerWindow:
+    @pytest.mark.parametrize("n, chunk, sizes", [(5, 2, [2, 2, 1]), (6, 3, [3, 3]), (7, 1, [1] * 7)])
+    def test_flux_step_asks_for_n_values_in_one_call_per_window(self, n, chunk, sizes):
+        asked = []
+
+        def counter(r):
+            asked.append(r.size)
+            return _offset(r)
+
+        with _chunk(chunk):
+            _flux_step(np.linspace(0.0, 1.0, n) ** 2, counter, 0.1, 1.0)
+        assert asked == sizes
+
+
+class TestGradientRange:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(CHUNKS), VALUES, st.sampled_from(tuple(Family)), st.sampled_from((1.0, 0.5)))
+    def test_lipschitz_is_unchanged(self, chunk, x, family, h):
+        phi = make_role_function(FamilySpec(family), Role.ACTIVATION)
+        f = Signal1D(x, h)
+        with _chunk(chunk):
+            L = _lipschitz(phi, f)
+        assert L == _whole_lipschitz(phi, f)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_overflow_at_a_window_edge_is_rejected(self, chunk):
+        phi = user_role_function(Role.ACTIVATION, _offset)
+        f = Signal1D([0.0, 0.0, 1e308, -1e308, 0.0])
+        with _chunk(chunk), pytest.raises(ValueError, match="overflow"):
+            _lipschitz(phi, f)
