@@ -22,7 +22,8 @@ import numpy as np
 
 from .blocks import _chain_states, make_diffusion_block
 from .blocks import chain  # noqa: F401  traced by name (bench/tracing.py)
-from .diffusion import StepSizeMode, _last, _lipschitz, _schedule, _states, max_stable_tau
+from .diffusion import StabilityViolation, StepSizeMode, _check_budget, _last, _lipschitz
+from .diffusion import _schedule, _states, _windows, max_stable_tau
 from .diffusion import diffuse, explicit_step  # noqa: F401  traced by name (bench/tracing.py)
 from .nonlinearities import (
     CouplingParams,
@@ -41,14 +42,11 @@ from .variational import minimize_by_diffusion  # noqa: F401  traced by name (be
 
 _METHODS = ("diffusion", "wavelet", "variational", "resnet")
 
-# Most steps or blocks one run may take.  Every step is observed for the
-# report, so a run past it (a flat input diffused to T = 1e9 plans 4e9
-# steps) exits 3 before it takes a step or writes a file, not hangs.
-_STEP_BUDGET = 10_000_000
-
-
-class StabilityViolation(Exception):
-    pass
+# Characters of CSV text split and parsed at a time, cut at a line end:
+# about 3,400 samples of 17 digits, so a block's row strings and floats
+# (about 100 B a sample) take some 0.3 MiB, not 100 B for every sample
+# of the file.
+_CSV_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -109,26 +107,34 @@ def add_noise(u: Signal1D, model: NoiseModel, seed=None) -> Signal1D:
 
 def read_signal_csv(path) -> Signal1D:
     with open(path, "r", encoding="ascii") as fh:
-        rows = [s for s in map(str.strip, fh.read().split("\n")) if s]
-    # Samples are parsed in file order around each comment line, so the
-    # first bad token in the file is the one reported.
+        text = fh.read()  # whole, so a decode error wins over any bad token
+    # The text is split and parsed in blocks of whole lines, and samples in
+    # file order around each comment line, so the first bad token in the
+    # file is the one reported.
     h = 1.0
-    samples = []
-    start = 0
-    for i in [i for i, s in enumerate(rows) if s[0] == "#"]:
-        samples += map(float, rows[start:i])
-        start = i + 1
-        body = rows[i][1:].strip()
-        if body.startswith("h="):
-            h = float(body[2:])
-    samples += map(float, rows[start:])
-    return Signal1D(np.array(samples), h)
+    parts = [np.empty(0)]
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos + _CSV_BLOCK) + 1 or len(text)
+        rows = [s for s in map(str.strip, text[pos:end].split("\n")) if s]
+        pos = end
+        start = 0
+        for i in [i for i, s in enumerate(rows) if s[0] == "#"]:
+            parts.append(np.fromiter(map(float, rows[start:i]), np.float64, i - start))
+            start = i + 1
+            body = rows[i][1:].strip()
+            if body.startswith("h="):
+                h = float(body[2:])
+        parts.append(np.fromiter(map(float, rows[start:]), np.float64, len(rows) - start))
+    return Signal1D(np.concatenate(parts), h)
 
 
 def write_signal_csv(path, u: Signal1D):
+    x = u.values
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# h={u.h:.17g}\n")
-        fh.write("".join(map("{:.17g}\n".format, u.values.tolist())))
+        for a, b in _windows(x.size):  # "%.17g" gives the bytes of "{:.17g}".format
+            fh.write(("%.17g\n" * (b - a)) % tuple(x[a:b].tolist()))
 
 
 def _family_spec(args) -> FamilySpec:
@@ -171,11 +177,6 @@ def _check_plan(method, steps, stopping_time=None):
         _check_budget(steps)
 
 
-def _check_budget(m):
-    if m > _STEP_BUDGET:
-        raise StabilityViolation(f"the run needs m = {m} steps, above the budget of {_STEP_BUDGET}")
-
-
 def _denoise_signal(f: Signal1D, method, spec, tau, mode, steps=None, stopping_time=None):
     """Run one method's plan on f; returns (states, tau, L).
 
@@ -189,7 +190,6 @@ def _denoise_signal(f: Signal1D, method, spec, tau, mode, steps=None, stopping_t
     phi = make_role_function(spec, Role.ACTIVATION)
     if stopping_time is not None:
         L, tau, m = _schedule(f, phi, stopping_time, mode)
-        _check_budget(m)
         return _states(f.values, phi, tau, m, f.h), tau, L
 
     if method == "wavelet":

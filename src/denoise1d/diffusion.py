@@ -37,6 +37,14 @@ _LIPSCHITZ_SAMPLES = 200_001
 # stay in L2 and on the heap, where whole-array temporaries at N = 2^20
 # (8 MiB) are mapped fresh and page-faulted for every numpy operation.
 _CHUNK = 1 << 15
+# Most steps one run may take.  A flat input diffused to T = 1e9 plans
+# 4e9 steps; a plan past the budget raises before it takes a step, not
+# hangs.
+_STEP_BUDGET = 10_000_000
+
+
+class StabilityViolation(Exception):
+    """A plan breaks a stability bound or needs more steps than the budget."""
 
 
 class StepSizeMode(enum.Enum):
@@ -155,8 +163,14 @@ def _lipschitz(phi, f):
     return estimate_lipschitz(phi, r if r > 0.0 else 1.0, _LIPSCHITZ_SAMPLES)
 
 
+def _check_budget(m):
+    if m > _STEP_BUDGET:
+        raise StabilityViolation(f"the run needs m = {m} steps, above the budget of {_STEP_BUDGET}")
+
+
 def _schedule(f, phi, T, mode):
-    # (L, tau, m) of diffuse: the smallest m with T/m within the bound.
+    # (L, tau, m) of diffuse: the smallest m with T/m within the bound,
+    # and within the step budget.
     if not np.isfinite(T) or T < 0.0:
         raise ValueError(f"stopping time must be nonnegative, got {T!r}")
     L = _lipschitz(phi, f)
@@ -169,6 +183,7 @@ def _schedule(f, phi, T, mode):
     m = max(1, int(math.ceil(steps)))  # T/tau_max can underflow to 0
     if T / m > tau_max:  # T/m can round one ulp above the bound
         m += 1
+    _check_budget(m)
     return L, T / m, m
 
 
@@ -183,6 +198,8 @@ def diffuse(
     The Lipschitz constant of ``phi`` is estimated on the (padded)
     gradient range of ``f``; the step count is the smallest m with
     T/m below the bound for ``mode``, and all m steps use tau = T/m.
+    A plan of more than ``_STEP_BUDGET`` steps raises
+    :class:`StabilityViolation`, naming m, before any step is taken.
 
     Returns the filtered signal and the :class:`DiffusionPlan` used.
     """

@@ -5,6 +5,8 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import denoise1d
+from denoise1d import cli, diffusion
 from denoise1d import (
     CouplingParams,
     EnergySpec,
@@ -31,7 +34,6 @@ from denoise1d import (
     translate,
 )
 from denoise1d.cli import (
-    _STEP_BUDGET,
     NoiseModel,
     add_noise,
     generate_signal,
@@ -39,7 +41,7 @@ from denoise1d.cli import (
     read_signal_csv,
     write_signal_csv,
 )
-from denoise1d.diffusion import _last, _lipschitz, _states
+from denoise1d.diffusion import _STEP_BUDGET, _last, _lipschitz, _states
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(denoise1d.__file__)))
 METHODS = ("diffusion", "wavelet", "variational", "resnet")
@@ -519,6 +521,86 @@ class TestCsvContract:
                      "--out", str(tmp_path / "o.csv"), "--steps", "1"])
         assert code == 2
         assert capsys.readouterr().err.startswith("i/o error: 'ascii' codec can't decode")
+
+    def test_non_ascii_after_a_bad_token_in_a_long_file_is_an_io_error(self, tmp_path, capsys):
+        # The file is decoded whole before the first block is parsed.
+        sig = tmp_path / "f.csv"
+        body = b"0.12345678901234567\n" * (cli._CSV_BLOCK // 10)
+        sig.write_bytes(body + b"abc\n" + body + "\u00e9\n".encode("utf-8"))
+        code = main(["denoise", "--method", "diffusion", "--input", str(sig),
+                     "--out", str(tmp_path / "o.csv"), "--steps", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("i/o error:")
+        assert sorted(os.listdir(tmp_path)) == ["f.csv"]
+
+
+csv_blocks = st.sampled_from((1, 2, 7, 40))
+csv_lines_and_bad_tokens = st.one_of(csv_lines, st.sampled_from(["abc", "1,2", "# h=x", "0x1p3"]))
+
+
+class TestCsvBlocks:
+    """Reading and writing in blocks, with the block sizes patched small
+    so that every block edge shows up in a short file, against the
+    per-line parser and writer."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(csv_blocks, st.lists(csv_lines_and_bad_tokens, min_size=0, max_size=30),
+           st.sampled_from(["\n", "\r\n"]), st.sampled_from(["", "  ", "\t"]))
+    def test_read_matches_the_per_line_parser(self, block, lines, newline, pad):
+        text = newline.join(pad + line + pad for line in lines)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "f.csv")
+            with open(path, "w", encoding="ascii", newline="") as fh:
+                fh.write(text)
+            try:
+                want = _read_per_line(path)
+            except ValueError as exc:  # a bad token, or no samples
+                with mock.patch.object(cli, "_CSV_BLOCK", block), \
+                        pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    read_signal_csv(path)
+                return
+            with mock.patch.object(cli, "_CSV_BLOCK", block):
+                got = read_signal_csv(path)
+        assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+        assert got.h == want.h
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from((1, 2, 3, 5)), st.lists(finite_floats, min_size=1, max_size=40),
+           st.floats(min_value=1e-6, max_value=1e6))
+    def test_write_matches_the_per_line_bytes(self, chunk, values, h):
+        u = Signal1D(values, h)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "o.csv")
+            with mock.patch.object(diffusion, "_CHUNK", chunk):
+                write_signal_csv(path, u)
+            with open(path, "rb") as fh:
+                assert fh.read() == _written_per_line(u)
+
+    def test_three_blocks_at_the_real_sizes(self, tmp_path):
+        u = Signal1D(np.random.default_rng(4).normal(size=2 * diffusion._CHUNK + 5), 0.5)
+        path = tmp_path / "o.csv"
+        write_signal_csv(path, u)
+        assert path.read_bytes() == _written_per_line(u)
+        assert path.stat().st_size > 3 * cli._CSV_BLOCK
+        back = read_signal_csv(path)
+        assert np.array_equal(back.values.view(np.int64), u.values.view(np.int64))
+        assert back.h == 0.5
+
+    @staticmethod
+    def traced_peak(fn):
+        fn()
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_at_1e5_samples(self, tmp_path):
+        u = Signal1D(np.random.default_rng(5).normal(size=100_000))
+        path = tmp_path / "o.csv"
+        assert self.traced_peak(lambda: write_signal_csv(path, u)) <= 2 << 20
+        assert self.traced_peak(lambda: read_signal_csv(path)) <= 6 << 20
 
 
 class TestScipyIsLazy:

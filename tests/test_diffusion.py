@@ -2,6 +2,7 @@ import math
 import os
 import tempfile
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from denoise1d import (
     max_stable_tau,
     user_role_function,
 )
-from denoise1d.cli import main, read_signal_csv, write_signal_csv
+from denoise1d import diffusion
+from denoise1d.cli import StabilityViolation, main, read_signal_csv, write_signal_csv
 
 ALL_FAMILIES = tuple(Family)
 
@@ -121,6 +123,14 @@ class TestDiffuse:
         f = Signal1D([0.0, 1.0, 0.5, 0.25])
         with pytest.raises(ValueError, match=r"^stopping time 1e\+308 needs a step count"):
             diffuse(f, phi_of(Family.PERONA_MALIK), 1e308)
+
+    def test_a_plan_above_the_step_budget_raises_before_a_step(self):
+        f = Signal1D([0.0, 1.0, 0.5, 0.25])
+        no_step = mock.patch.object(diffusion, "_flux_step", side_effect=AssertionError("a step was taken"))
+        match = r"^the run needs m = \d+ steps, above the budget of 10000000$"
+        with no_step, pytest.raises(StabilityViolation, match=match):
+            diffuse(f, phi_of(Family.PERONA_MALIK), 1e300)
+        assert diffusion.StabilityViolation is StabilityViolation
 
     def test_single_step_reduction(self):
         f = Signal1D([0.0, 0.0, 1.0, 0.0, 0.0])
