@@ -10,12 +10,12 @@ ghosts at the reflecting walls are zero.  With the diffusion wiring
 sigma1 the flux function, sigma2 the identity, no biases) a block
 reproduces one explicit diffusion step to rounding.
 
-Like the diffusion step, a block over more than ``diffusion._CHUNK``
-samples runs window by window.  Each window reads its input with a halo
-of p1 + p2 samples (p the half-width of a stencil), which carries what it
-needs from its neighbours: sigma1 is evaluated on the window's inner
-values plus p2 on each side, so halo values are computed by both
-windows that read them.
+Past ``diffusion._CHUNK`` samples a block runs in ``diffusion._windows``,
+not by the rule of the ``diffusion`` docstring: each window reads its
+input with a halo of p1 + p2 samples (p the half-width of a stencil),
+which carries what it needs from its neighbours: sigma1 is evaluated on
+the window's inner values plus p2 on each side, so halo values are
+computed by both windows that read them.
 """
 
 from __future__ import annotations

@@ -11,14 +11,15 @@ the reflecting walls, so the sample sum is preserved exactly up to
 rounding.  Each method has its own state generator, and every run
 finishes through the one drain, ``_last``, defined here.
 
-A step over more than ``_CHUNK`` samples runs window by window, so that
-each window's temporaries stay in cache; ``_CHUNK`` and the window
-bounds, ``_windows``, are defined here for every method's step.  A window
-carries one boundary value from the window before it: the flux through
-its left interface.
-Sample 0 is finished last, once the wall flux phi(0), the last window's
-last interface value, is known.  Every output is bit-identical to a step
-on the whole array, and phi is still evaluated once per interface.
+Every step here and in :mod:`.shrinkage`, and the divergence of
+:mod:`.variational`, is one ``_interface_pass``: it evaluates one value
+per interface on the clamped forward differences fd and moves each
+sample by an ``update`` of the values at its two interfaces.  The left
+neighbour of sample 0 is the last entry of every interface array: fd[-1]
+is exactly 0.0, so phi(0) and S(0) are the wall values.  A pass over more
+than ``_CHUNK`` samples runs window by window, so that each window's
+temporaries stay in cache; a window carries its left interface's values
+from the one before, and sample 0 is finished last with the last ones.
 """
 
 from __future__ import annotations
@@ -78,10 +79,31 @@ def max_stable_tau(L: float, h: float, mode: StepSizeMode) -> float:
 
 
 def _windows(n):
-    # Bounds (a, b) of the windows a pass over n samples runs in.  A step
-    # kernel tests n <= _CHUNK itself first: one window then takes the
+    # Bounds (a, b) of the windows a pass over n samples runs in.  A pass
+    # tests n <= _CHUNK itself first: one window then takes the
     # whole-array path, with no per-step loop or list.
     return [(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK)]
+
+
+def _interface_pass(x, h, interface, update):
+    # update(x, fd, v, fd_left, v_left) on each window, where v =
+    # interface(fd) holds the values at the samples' right interfaces and
+    # fd_left, v_left those at the interface left of the first sample.
+    if x.size <= _CHUNK:
+        fd = _fdiff(x, h)
+        v = interface(fd)
+        return update(x, fd, v, fd[-1], v[-1])
+    out = np.empty_like(x)
+    fd_left = v_left = 0.0  # sample 0 is finished below, with the wall values
+    for a, b in _windows(x.size):
+        fd = _fdiff(x[a : b + 1], h)[: b - a]
+        v = interface(fd)
+        out[a:b] = update(x[a:b], fd, v, fd_left, v_left)
+        if a == 0:
+            head = (fd[:1], v[:1])
+        fd_left, v_left = fd[-1], v[-1]
+    out[:1] = update(x[:1], *head, fd_left, v_left)
+    return out
 
 
 def _divergence(w, left, h):
@@ -95,37 +117,21 @@ def _divergence(w, left, h):
     return div
 
 
-def _flux_divergence(x, ev, h):
-    # Difference of the interface fluxes w = ev(fd x) around each sample.
-    # fd x is 0 at the right wall, so w[-1] = phi(0) is the flux through
-    # both walls; it is zero for every antisymmetric activation.
-    w = ev(_fdiff(x, h))
-    return _divergence(w, w[-1], h)
+def _flux_update(tau, h):
+    # The explicit step as an update of _interface_pass on the fluxes w.
+    return lambda x, fd, w, fd_left, w_left: x + tau * _divergence(w, w_left, h)
 
 
 def _flux_step(x, ev, tau, h):
-    # One explicit step on raw samples.  The one-window path inlines
-    # _flux_divergence: a call fewer per step where per-call cost rules.
-    if x.size <= _CHUNK:
-        w = ev(_fdiff(x, h))
-        return x + tau * _divergence(w, w[-1], h)
-    out = np.empty_like(x)
-    left = 0.0  # sample 0 is finished below, once the wall flux is known
-    for a, b in _windows(x.size):
-        w = ev(_fdiff(x[a : b + 1], h)[: b - a])
-        out[a:b] = x[a:b] + tau * _divergence(w, left, h)
-        if a == 0:
-            head = w[:1]
-        left = w[-1]
-    out[:1] = x[:1] + tau * _divergence(head, left, h)  # left is now phi(0)
-    return out
+    # One explicit step on raw samples.
+    return _interface_pass(x, h, ev, _flux_update(tau, h))
 
 
 def _states(x, phi, tau, m, h):
     # The loop of the explicit scheme: yields each of the m states after x.
-    ev = phi.evaluator
+    ev, update = phi.evaluator, _flux_update(tau, h)
     for _ in range(m):
-        x = _flux_step(x, ev, tau, h)
+        x = _interface_pass(x, h, ev, update)
         yield x
 
 
@@ -158,7 +164,7 @@ def _lipschitz(phi, f):
     x = f.values
     with np.errstate(over="ignore"):
         r = 2.0 * max(float(np.max(np.abs(_fdiff(x[a : b + 1], f.h)))) for a, b in _windows(x.size))
-    if not math.isfinite(r):
+    if not math.isfinite(2.0 * r):  # the span of the grid on [-r, r]
         raise ValueError("the input's gradients overflow float64; rescale the signal")
     return estimate_lipschitz(phi, r if r > 0.0 else 1.0, _LIPSCHITZ_SAMPLES)
 

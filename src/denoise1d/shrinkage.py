@@ -16,10 +16,9 @@ forward difference is zero at the right wall, so its last value S(0)
 is also the wall value the backward side needs.  Grid size 1
 is required; the pairing of neighbouring samples has no scale parameter.
 
-Like the flux step, a step over more than ``diffusion._CHUNK`` samples
-runs window by window.  A window carries the forward difference and the
-S value of the interface left of it from the window before; sample 0 is
-finished last, once the wall value S(0) is known.
+The step is an update of ``diffusion._interface_pass``, whose module
+docstring states the windowing rule; the interface values are
+S(fd/sqrt2).
 """
 
 from __future__ import annotations
@@ -28,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diffusion
-from .diffusion import _last, _windows
+from .diffusion import _interface_pass, _last
 from .nonlinearities import SQRT2, Role, RoleFunction
-from .signals import Signal1D, _fdiff
+from .signals import Signal1D
 
 
 @dataclass(frozen=True)
@@ -74,25 +72,13 @@ def _haar_update(x, fd, s, fd_left, s_left):
     return x + 0.25 * d + e / (2.0 * SQRT2)
 
 
+def _haar_interface(ev):
+    # S once per interface, on fd/sqrt2; S(0), its last value, is the wall's.
+    return lambda fd: ev(fd / SQRT2)
+
+
 def _shift_invariant_values(x, ev):
-    # S is evaluated once per interface, on fd/sqrt2: bd is fd shifted
-    # right by one behind a zero wall, and fd[-1] = 0, so s[-1] = S(0) is
-    # the wall value.
-    if x.size <= diffusion._CHUNK:
-        fd = _fdiff(x, 1.0)
-        s = ev(fd / SQRT2)
-        return _haar_update(x, fd, s, 0.0, s[-1])
-    out = np.empty_like(x)
-    fd_left = s_left = 0.0  # sample 0 is finished below, once S(0) is known
-    for a, b in _windows(x.size):
-        fd = _fdiff(x[a : b + 1], 1.0)[: b - a]
-        s = ev(fd / SQRT2)
-        out[a:b] = _haar_update(x[a:b], fd, s, fd_left, s_left)
-        if a == 0:
-            head = (fd[:1], s[:1])
-        fd_left, s_left = fd[-1], s[-1]
-    out[:1] = _haar_update(x[:1], *head, 0.0, s_left)  # s_left is now S(0)
-    return out
+    return _interface_pass(x, 1.0, _haar_interface(ev), _haar_update)
 
 
 def _require_unit_grid(h):
@@ -120,6 +106,7 @@ def iterate_shrinkage(f: Signal1D, shrink: RoleFunction, m: int) -> Signal1D:
 
 def _shrink_states(x, ev, m):
     # The shrinkage loop: yields each of the m states after x.
+    interface = _haar_interface(ev)
     for _ in range(m):
-        x = _shift_invariant_values(x, ev)
+        x = _interface_pass(x, 1.0, interface, _haar_update)
         yield x

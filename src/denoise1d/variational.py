@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import StepSizeMode, _flux_divergence, _last, _lipschitz, _states
+from .diffusion import StepSizeMode, _divergence, _interface_pass, _last, _lipschitz, _states
 from .diffusion import max_stable_tau
 from .nonlinearities import Role, RoleFunction, translate
 from .nonlinearities import estimate_lipschitz  # noqa: F401  traced by name (bench/tracing.py)
@@ -59,14 +59,19 @@ def discrete_energy(u: Signal1D, f: Signal1D, spec: EnergySpec) -> float:
     return u.h * data + spec.alpha * u.h * reg
 
 
+def _divergence_of(u, spec):
+    # div(psi'(fd u)/2): the interface pass with the divergence as update.
+    ev = translate(spec.psi, Role.ACTIVATION).evaluator
+    return _interface_pass(u.values, u.h, ev, lambda x, fd, w, fd_left, w_left: _divergence(w, w_left, u.h))
+
+
 def euler_lagrange_residual(u: Signal1D, f: Signal1D, spec: EnergySpec) -> Signal1D:
     """Pointwise residual (u - f)/alpha - div(psi'(fd u)/2).
 
     Zero (up to the derivative tolerance) exactly at energy minimisers.
     """
     _check_pair(u, f)
-    phi = translate(spec.psi, Role.ACTIVATION)
-    div = _flux_divergence(u.values, phi.evaluator, u.h)
+    div = _divergence_of(u, spec)
     r = (u.values - f.values) / spec.alpha - div
     return Signal1D._wrap(r, u.h)
 
@@ -74,8 +79,7 @@ def euler_lagrange_residual(u: Signal1D, f: Signal1D, spec: EnergySpec) -> Signa
 def energy_gradient(u: Signal1D, f: Signal1D, spec: EnergySpec) -> np.ndarray:
     """Analytic gradient of :func:`discrete_energy` with respect to u."""
     _check_pair(u, f)
-    phi = translate(spec.psi, Role.ACTIVATION)
-    div = _flux_divergence(u.values, phi.evaluator, u.h)
+    div = _divergence_of(u, spec)
     return 2.0 * u.h * (u.values - f.values) - 2.0 * spec.alpha * u.h * div
 
 

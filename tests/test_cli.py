@@ -637,6 +637,24 @@ class TestGradientOverflow:
         assert not (tmp_path / "c").exists()
 
 
+    def test_a_grid_span_that_overflows_fails_without_a_warning(self, tmp_path):
+        # 2 max|fd| = 1e308 is finite, but the Lipschitz grid spans 2e308.
+        sig, out = tmp_path / "f.csv", tmp_path / "o.csv"
+        sig.write_text("0\n5e307\n")
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        args = ["denoise", "--method", "diffusion", "--steps", "1", "--input", str(sig), "--out", str(out)]
+        run = subprocess.run([sys.executable, "-m", "denoise1d.cli", *args], env=env, capture_output=True, text=True)
+        assert run.returncode == 1
+        assert run.stderr == "usage error: the input's gradients overflow float64; rescale the signal\n"
+        assert not out.exists()
+
+    def test_a_grid_span_just_below_the_overflow_still_runs(self, tmp_path):
+        sig, out = tmp_path / "f.csv", tmp_path / "o.csv"
+        sig.write_text("0\n4e307\n")
+        assert main(["denoise", "--method", "diffusion", "--steps", "1", "--input", str(sig), "--out", str(out)]) == 0
+        assert out.exists()
+
+
 class TestVariationalStepsWithTheGivenTau:
     def test_a_tau_on_the_bound_runs_like_diffusion(self, tmp_path):
         # A seeded input whose max-min bound tau has (m*tau)/m > tau for

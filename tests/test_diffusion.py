@@ -1,6 +1,7 @@
 import math
 import os
 import tempfile
+import warnings
 import zlib
 from unittest import mock
 
@@ -126,11 +127,28 @@ class TestDiffuse:
 
     def test_a_plan_above_the_step_budget_raises_before_a_step(self):
         f = Signal1D([0.0, 1.0, 0.5, 0.25])
-        no_step = mock.patch.object(diffusion, "_flux_step", side_effect=AssertionError("a step was taken"))
+        no_step = mock.patch.object(diffusion, "_interface_pass", side_effect=AssertionError("a step was taken"))
         match = r"^the run needs m = \d+ steps, above the budget of 10000000$"
         with no_step, pytest.raises(StabilityViolation, match=match):
             diffuse(f, phi_of(Family.PERONA_MALIK), 1e300)
         assert diffusion.StabilityViolation is StabilityViolation
+
+    def test_gradients_whose_grid_span_overflows_are_rejected(self):
+        # 2 max|fd| = 1e308 is finite; the grid on [-1e308, 1e308] spans inf.
+        f = Signal1D([0.0, 5e307])
+        match = r"^the input's gradients overflow float64; rescale the signal$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                diffuse(f, phi_of(Family.PERONA_MALIK), 1.0)
+
+    def test_gradients_just_inside_the_grid_span_still_run(self):
+        f = Signal1D([0.0, 4e307])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, plan = diffuse(f, phi_of(Family.CONSTANT), 1.0, StepSizeMode.MAXMIN)
+        assert plan.steps >= 1
+        assert np.all(np.isfinite(out.values))
 
     def test_single_step_reduction(self):
         f = Signal1D([0.0, 0.0, 1.0, 0.0, 0.0])

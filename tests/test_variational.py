@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from denoise1d import (
     EnergySpec,
@@ -14,6 +18,7 @@ from denoise1d import (
     minimize_by_diffusion,
     tikhonov_solve_oracle,
 )
+from denoise1d import diffusion
 
 ALL_FAMILIES = tuple(Family)
 
@@ -79,6 +84,28 @@ class TestEulerLagrangeResidual:
         f = Signal1D(rng.uniform(0, 1, 10))
         r = euler_lagrange_residual(f, f, tikhonov(0.25))
         assert float(np.max(np.abs(r.values))) > 1e-3  # nonzero for nonconstant f
+
+
+class TestWindowedDivergence:
+    # Up to 64 samples is one window at the real _CHUNK: the whole-array
+    # path.  Patched to a few samples, every window edge and the carried
+    # wall value show up; bit patterns are compared, so signed zeros count.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from((1, 2, 3, 5)),
+        st.sampled_from(ALL_FAMILIES),
+        st.sampled_from((1.0, 0.5)),
+        st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)), min_size=1, max_size=64),
+    )
+    def test_bit_identical_to_the_whole_array_path(self, chunk, family, h, pairs):
+        u, f = (Signal1D([p[i] for p in pairs], h) for i in (0, 1))
+        spec = EnergySpec(psi=psi_of(family), alpha=0.7)
+        whole = (euler_lagrange_residual(u, f, spec).values, energy_gradient(u, f, spec))
+        with mock.patch.object(diffusion, "_CHUNK", chunk):
+            windowed = (euler_lagrange_residual(u, f, spec).values, energy_gradient(u, f, spec))
+        for a, b in zip(windowed, whole):
+            assert a.dtype == b.dtype == np.float64
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestTikhonovOracle:
