@@ -10,12 +10,14 @@ ghosts at the reflecting walls are zero.  With the diffusion wiring
 sigma1 the flux function, sigma2 the identity, no biases) a block
 reproduces one explicit diffusion step to rounding.
 
-Past ``diffusion._CHUNK`` samples a block runs in ``diffusion._windows``,
-not by the rule of the ``diffusion`` docstring: each window reads its
-input with a halo of p1 + p2 samples (p the half-width of a stencil),
-which carries what it needs from its neighbours: sigma1 is evaluated on
-the window's inner values plus p2 on each side, so halo values are
-computed by both windows that read them.
+Past ``diffusion._CHUNK`` samples a block runs in the windows and parts
+of ``diffusion._parts``, not by the ring rule of the ``diffusion``
+docstring: each window reads its input with a halo of p1 + p2 samples
+(p the half-width of a stencil), which carries what it needs from its
+neighbours: sigma1 is evaluated on the window's inner values plus p2 on
+each side, so halo values are computed by both windows that read them,
+and the windows are independent.  sigma1 and sigma2 are then called from
+several threads at once.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import diffusion
-from .diffusion import _last, _windows
+from .diffusion import _last
 from .nonlinearities import SQRT2, Role, RoleFunction
 from .signals import Signal1D
 
@@ -114,14 +116,19 @@ def _apply(block, x):
     if n <= diffusion._CHUNK:
         return np.asarray(_residual(block, x, p1, p1, p2, p2, block.b1, block.b2, x), dtype=np.float64)
     out = np.empty_like(x)
-    for a, b in _windows(n):
-        # The outer stencil reads inner values over [a - p2, b + p2); those
-        # in [lo, hi) lie in the signal and read x over [s, t) plus ghosts.
-        lo, hi = max(a - p2, 0), min(b + p2, n)
-        s, t = max(lo - p1, 0), min(hi + p1, n)
-        out[a:b] = _residual(
-            block, x[s:t], s - lo + p1, hi + p1 - t, lo - a + p2, b + p2 - hi, block.b1[lo:hi], block.b2[a:b], x[a:b]
-        )
+
+    def part(windows):
+        for a, b in windows:
+            # The outer stencil reads inner values over [a - p2, b + p2); those
+            # in [lo, hi) lie in the signal and read x over [s, t) plus ghosts.
+            lo, hi = max(a - p2, 0), min(b + p2, n)
+            s, t = max(lo - p1, 0), min(hi + p1, n)
+            out[a:b] = _residual(
+                block, x[s:t], s - lo + p1, hi + p1 - t, lo - a + p2, b + p2 - hi,
+                block.b1[lo:hi], block.b2[a:b], x[a:b],
+            )
+
+    diffusion._run_parts(part, diffusion._parts(n))
     return out
 
 

@@ -18,14 +18,23 @@ sample by an ``update`` of the values at its two interfaces.  The left
 neighbour of sample 0 is the last entry of every interface array: fd[-1]
 is exactly 0.0, so phi(0) and S(0) are the wall values.  A pass over more
 than ``_CHUNK`` samples runs window by window, so that each window's
-temporaries stay in cache; a window carries its left interface's values
-from the one before, and sample 0 is finished last with the last ones.
+temporaries stay in cache, and its windows run in up to ``_WORKERS``
+contiguous parts of at least ``_PART_WINDOWS`` windows at once.  Within a
+part, a window carries its left interface's values from the one before.
+The parts form a ring closed by the wall: once all have run, the first
+sample of each part is finished with the last values of the part before
+it, and the part before part 0 is the last part, whose last values are
+the wall values.  One part is the serial pass.
 """
 
 from __future__ import annotations
 
+import collections
+import contextvars
 import enum
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +47,14 @@ _LIPSCHITZ_SAMPLES = 200_001
 # stay in L2 and on the heap, where whole-array temporaries at N = 2^20
 # (8 MiB) are mapped fresh and page-faulted for every numpy operation.
 _CHUNK = 1 << 15
+# Parts a pass over more than one window runs in at once: one per usable
+# CPU.  numpy releases the GIL inside each window's ufuncs.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+# Fewest windows in a part.  Handing a part to a pool thread (waking it,
+# passing the GIL) costs about what a few windows' work saves: on a 2-vCPU
+# VM, N = 1e5 (4 windows) ran 10% slower in two parts, and 16 or more
+# windows ran faster.
+_PART_WINDOWS = 8
 # Most steps one run may take.  A flat input diffused to T = 1e9 plans
 # 4e9 steps; a plan past the budget raises before it takes a step, not
 # hangs.
@@ -85,6 +102,107 @@ def _windows(n):
     return [(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK)]
 
 
+def _parts(n):
+    # The windows of a pass over n samples in at most _WORKERS contiguous
+    # parts of at least _PART_WINDOWS windows (or one part), as even as
+    # whole windows allow.
+    w = _windows(n)
+    k = max(1, min(_WORKERS, len(w) // _PART_WINDOWS))
+    return [w[i * len(w) // k : (i + 1) * len(w) // k] for i in range(k)]
+
+
+class _Part:
+    # run(part) in a copy of the caller's context, for a pool thread.
+    # ``done`` is held until the part has ended.
+
+    def __init__(self, run, part):
+        self.context, self.run, self.part = contextvars.copy_context(), run, part
+        self.value = self.error = None
+        self.done = threading.Lock()
+        self.done.acquire()
+
+    def __call__(self):
+        try:
+            self.value = self.context.run(self.run, self.part)
+        except BaseException as exc:  # raised by the caller, in part order
+            self.error = exc
+        finally:
+            self.done.release()
+
+
+class _Pool:
+    # Daemon threads that run the parts put to them, first in first out;
+    # ``put`` is called on the caller's thread, whose context it copies.
+
+    def __init__(self, threads):
+        self.parts = collections.deque()
+        self.queued = threading.Semaphore(0)
+        for i in range(threads):
+            threading.Thread(target=self._serve, name=f"denoise1d-part-{i}", daemon=True).start()
+
+    def _serve(self):
+        _on_pool.thread = True
+        while True:
+            self.queued.acquire()
+            self.parts.popleft()()
+
+    def put(self, run, part):
+        job = _Part(run, part)
+        self.parts.append(job)
+        self.queued.release()
+        return job
+
+
+_pool = None
+_pool_lock = threading.Lock()
+_on_pool = threading.local()
+
+
+def _start_pool():
+    # Made on the first pass with two parts, from threading alone.  A module
+    # first imported in the middle of a run (concurrent.futures) leaves
+    # lasting allocations at the heap's top, between the long arrays, which
+    # then no longer fit the holes they leave.
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = _Pool(max(_WORKERS - 1, 1))
+    return _pool
+
+
+def _forget_pool():
+    # A forked child has none of its parent's pool threads, and its one
+    # thread is not one of them.
+    global _pool, _pool_lock, _on_pool
+    _pool, _pool_lock, _on_pool = None, threading.Lock(), threading.local()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_parts(run, parts):
+    # [run(part) for part in parts], the first part on the calling thread
+    # and the others on the pool, each in a copy of the caller's context
+    # (numpy's errstate lives there).  Every part has ended before this
+    # returns or raises, and the first failure in part order is raised.  A
+    # pass started on a pool thread runs its parts there, one after the
+    # other, so no pool thread ever waits on the pool.
+    if len(parts) == 1 or getattr(_on_pool, "thread", False):
+        return [run(p) for p in parts]
+    pool = _pool or _start_pool()
+    rest = [pool.put(run, p) for p in parts[1:]]
+    try:
+        first = run(parts[0])
+    finally:
+        for part in rest:
+            part.done.acquire()
+    for part in rest:
+        if part.error is not None:
+            raise part.error
+    return [first] + [part.value for part in rest]
+
+
 def _interface_pass(x, h, interface, update):
     # update(x, fd, v, fd_left, v_left) on each window, where v =
     # interface(fd) holds the values at the samples' right interfaces and
@@ -94,15 +212,26 @@ def _interface_pass(x, h, interface, update):
         v = interface(fd)
         return update(x, fd, v, fd[-1], v[-1])
     out = np.empty_like(x)
-    fd_left = v_left = 0.0  # sample 0 is finished below, with the wall values
-    for a, b in _windows(x.size):
-        fd = _fdiff(x[a : b + 1], h)[: b - a]
-        v = interface(fd)
-        out[a:b] = update(x[a:b], fd, v, fd_left, v_left)
-        if a == 0:
-            head = (fd[:1], v[:1])
-        fd_left, v_left = fd[-1], v[-1]
-    out[:1] = update(x[:1], *head, fd_left, v_left)
+
+    def carry(windows):
+        # One part; its first sample is finished below, from the part before.
+        # Returns that sample's own interface values (copies, so that the
+        # window's arrays are freed) and the part's last ones.
+        head, left = None, (0.0, 0.0)
+        for a, b in windows:
+            fd = _fdiff(x[a : b + 1], h)[: b - a]
+            v = interface(fd)
+            out[a:b] = update(x[a:b], fd, v, *left)
+            if head is None:
+                head = fd[:1].copy(), v[:1].copy()
+            left = fd[-1], v[-1]
+        return head, left
+
+    parts = _parts(x.size)
+    ends = _run_parts(carry, parts)
+    for p, windows in enumerate(parts):
+        a = windows[0][0]
+        out[a : a + 1] = update(x[a : a + 1], *ends[p][0], *ends[p - 1][1])
     return out
 
 

@@ -17,7 +17,8 @@ into.  This module provides
   (``alpha`` with the regulariser, ``tau`` otherwise) and scales the
   breakpoints by sqrt(2).
 
-Evaluators are numpy-vectorised, pure, and reentrant.
+Evaluators are numpy-vectorised, pure, and reentrant: the step kernels
+may call one from several threads at once, on different windows.
 """
 
 from __future__ import annotations
@@ -125,7 +126,9 @@ class RoleFunction:
     RoleFunction accepts scalars too.  It must not mix samples: the step
     kernels call it on windows of a long signal, so an evaluator whose
     output at one index reads other indices (one that subtracts the
-    mean, say) gives results that depend on the window.
+    mean, say) gives results that depend on the window.  On a long
+    signal it is called from several threads at once, so it must keep no
+    state between calls.
     ``provenance`` records how the function was obtained (closed form,
     translation chain, or user supplied).  ``derivative`` is an optional
     analytic d/dr used by the regulariser translations; ``breakpoints``
@@ -152,7 +155,8 @@ def user_role_function(role, func, name="user-supplied"):
 
     ``func`` must be elementwise: the step kernels call it on windows of
     a long signal, so one that mixes samples gives window-dependent
-    results.
+    results.  It must also be safe to call from several threads at once:
+    a long signal's windows run in parts on all usable CPUs.
     """
     return RoleFunction(role=role, evaluator=func, provenance=(name,))
 

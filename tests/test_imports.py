@@ -1,11 +1,14 @@
 """Every name a denoise1d module imports is used there, exported through
 ``__all__`` (the package ``__init__``), or marked ``# noqa: F401`` for
-bench/tracing.py, which wraps it by name in that module; and every
-private name a module defines is used somewhere in the package."""
+bench/tracing.py, which wraps it by name in that module; every private
+name a module defines is used somewhere in the package; and importing the
+CLI does not load the thread pool's module."""
 
 import ast
 import importlib.util
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -93,3 +96,12 @@ def test_every_private_name_is_used():
     assert ("diffusion", "_last") in defined  # the walk sees the definitions
     unused = [f"{module}.py {name}" for module, name in defined if name not in read]
     assert not unused, unused
+
+
+def test_importing_the_cli_does_not_load_concurrent_futures():
+    # The pool of the multi-part passes is made, and its module imported,
+    # on a process's first pass with two parts.
+    src = os.path.dirname(PKG)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import sys, denoise1d, denoise1d.cli; sys.exit('concurrent.futures' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
