@@ -16,8 +16,8 @@ docstring: each window reads its input with a halo of p1 + p2 samples
 (p the half-width of a stencil), which carries what it needs from its
 neighbours: sigma1 is evaluated on the window's inner values plus p2 on
 each side, so halo values are computed by both windows that read them,
-and the windows are independent.  sigma1 and sigma2 are then called from
-several threads at once.
+and the windows are independent.  The windows run in parts on several
+threads only when sigma1 and sigma2 are both built by this package.
 """
 
 from __future__ import annotations
@@ -29,10 +29,11 @@ import numpy as np
 
 from . import diffusion
 from .diffusion import _last
-from .nonlinearities import SQRT2, Role, RoleFunction
+from .nonlinearities import SQRT2, Role, RoleFunction, _reentrant
 from .signals import Signal1D
 
 
+@_reentrant
 def _identity(r):
     return r
 
@@ -128,7 +129,7 @@ def _apply(block, x):
                 block.b1[lo:hi], block.b2[a:b], x[a:b],
             )
 
-    diffusion._run_parts(part, diffusion._parts(n))
+    diffusion._run_parts(part, diffusion._parts(n, block.sigma1, block.sigma2))
     return out
 
 
@@ -178,6 +179,7 @@ def _chain_states(blocks, x):
         yield x
 
 
+@_reentrant
 def relu(r):
     """max(0, r), elementwise."""
     return np.maximum(r, 0.0)

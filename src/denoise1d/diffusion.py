@@ -24,7 +24,9 @@ part, a window carries its left interface's values from the one before.
 The parts form a ring closed by the wall: once all have run, the first
 sample of each part is finished with the last values of the part before
 it, and the part before part 0 is the last part, whose last values are
-the wall values.  One part is the serial pass.
+the wall values.  One part is the serial pass.  Only evaluators that
+:mod:`.nonlinearities` builds run on several threads at once; a pass
+that calls any other runs in one part.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nonlinearities import Role, RoleFunction, estimate_lipschitz
+from .nonlinearities import Role, RoleFunction, _is_reentrant, estimate_lipschitz
 from .signals import Signal1D, _fdiff
 
 _LIPSCHITZ_SAMPLES = 200_001
@@ -102,12 +104,13 @@ def _windows(n):
     return [(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK)]
 
 
-def _parts(n):
+def _parts(n, *evaluators):
     # The windows of a pass over n samples in at most _WORKERS contiguous
     # parts of at least _PART_WINDOWS windows (or one part), as even as
-    # whole windows allow.
+    # whole windows allow.  A pass that calls an evaluator from outside
+    # this package runs in one part, on the caller's thread.
     w = _windows(n)
-    k = max(1, min(_WORKERS, len(w) // _PART_WINDOWS))
+    k = max(1, min(_WORKERS, len(w) // _PART_WINDOWS)) if all(map(_is_reentrant, evaluators)) else 1
     return [w[i * len(w) // k : (i + 1) * len(w) // k] for i in range(k)]
 
 
@@ -133,12 +136,18 @@ class _Part:
 class _Pool:
     # Daemon threads that run the parts put to them, first in first out;
     # ``put`` is called on the caller's thread, whose context it copies.
+    # It starts a thread only when a pass has more parts beyond its first
+    # than the pool has threads.
 
-    def __init__(self, threads):
+    def __init__(self):
         self.parts = collections.deque()
         self.queued = threading.Semaphore(0)
-        for i in range(threads):
+        self.threads = 0
+
+    def grow(self, threads):
+        for i in range(self.threads, threads):
             threading.Thread(target=self._serve, name=f"denoise1d-part-{i}", daemon=True).start()
+        self.threads = max(self.threads, threads)
 
     def _serve(self):
         _on_pool.thread = True
@@ -158,15 +167,17 @@ _pool_lock = threading.Lock()
 _on_pool = threading.local()
 
 
-def _start_pool():
-    # Made on the first pass with two parts, from threading alone.  A module
-    # first imported in the middle of a run (concurrent.futures) leaves
-    # lasting allocations at the heap's top, between the long arrays, which
-    # then no longer fit the holes they leave.
+def _pool_of(threads):
+    # The pool, grown to at least ``threads`` threads; made on the first
+    # pass with two parts, from threading alone.  A module first imported in
+    # the middle of a run (concurrent.futures) leaves lasting allocations at
+    # the heap's top, between the long arrays, which then no longer fit the
+    # holes they leave.
     global _pool
     with _pool_lock:
         if _pool is None:
-            _pool = _Pool(max(_WORKERS - 1, 1))
+            _pool = _Pool()
+        _pool.grow(threads)
     return _pool
 
 
@@ -190,7 +201,7 @@ def _run_parts(run, parts):
     # other, so no pool thread ever waits on the pool.
     if len(parts) == 1 or getattr(_on_pool, "thread", False):
         return [run(p) for p in parts]
-    pool = _pool or _start_pool()
+    pool = _pool_of(len(parts) - 1)
     rest = [pool.put(run, p) for p in parts[1:]]
     try:
         first = run(parts[0])
@@ -227,7 +238,7 @@ def _interface_pass(x, h, interface, update):
             left = fd[-1], v[-1]
         return head, left
 
-    parts = _parts(x.size)
+    parts = _parts(x.size, interface)
     ends = _run_parts(carry, parts)
     for p, windows in enumerate(parts):
         a = windows[0][0]

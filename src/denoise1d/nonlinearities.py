@@ -17,14 +17,17 @@ into.  This module provides
   (``alpha`` with the regulariser, ``tau`` otherwise) and scales the
   breakpoints by sqrt(2).
 
-Evaluators are numpy-vectorised, pure, and reentrant: the step kernels
-may call one from several threads at once, on different windows.
+The evaluators built here are numpy-vectorised, pure and reentrant, and
+the step kernels call them from several threads at once, on different
+windows of a long signal.  Any other evaluator, a user's or a wrapper
+around one built here, is called on the caller's thread only.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -127,8 +130,8 @@ class RoleFunction:
     kernels call it on windows of a long signal, so an evaluator whose
     output at one index reads other indices (one that subtracts the
     mean, say) gives results that depend on the window.  On a long
-    signal it is called from several threads at once, so it must keep no
-    state between calls.
+    signal the evaluators this module builds are called from several
+    threads at once; any other is called on the caller's thread only.
     ``provenance`` records how the function was obtained (closed form,
     translation chain, or user supplied).  ``derivative`` is an optional
     analytic d/dr used by the regulariser translations; ``breakpoints``
@@ -150,13 +153,36 @@ class RoleFunction:
         return float(out) if out.ndim == 0 else out
 
 
+# The evaluators built in this package, which the step kernels may call
+# from several threads at once.  A set and not a function attribute, which
+# a user's functools.wraps wrapper would copy.
+_REENTRANT = weakref.WeakSet()
+
+
+def _reentrant(fn):
+    _REENTRANT.add(fn)
+    return fn
+
+
+def _reentrant_if(fn, *sources):
+    # fn, marked reentrant if every callable it calls is.
+    return _reentrant(fn) if all(map(_is_reentrant, sources)) else fn
+
+
+def _is_reentrant(fn):
+    try:
+        return fn in _REENTRANT
+    except TypeError:  # an unhashable callable
+        return False
+
+
 def user_role_function(role, func, name="user-supplied"):
     """Wrap a numpy-vectorised callable as a RoleFunction of the given role.
 
     ``func`` must be elementwise: the step kernels call it on windows of
     a long signal, so one that mixes samples gives window-dependent
-    results.  It must also be safe to call from several threads at once:
-    a long signal's windows run in parts on all usable CPUs.
+    results.  It is called on the caller's thread only, so it need not
+    be reentrant.
     """
     return RoleFunction(role=role, evaluator=func, provenance=(name,))
 
@@ -302,9 +328,9 @@ def make_role_function(spec: FamilySpec, role: Role) -> RoleFunction:
     phi = formulas[-1]
     return RoleFunction(
         role=role,
-        evaluator=formulas[i],
+        evaluator=_reentrant(formulas[i]),
         provenance=(f"closed-form:{spec.label()}", role.value),
-        derivative=(lambda r: 2.0 * phi(r)) if role is Role.REGULARISER else None,
+        derivative=_reentrant(lambda r: 2.0 * phi(r)) if role is Role.REGULARISER else None,
         breakpoints=breaks[i : i + 1],
     )
 
@@ -458,7 +484,7 @@ def translate(f: RoleFunction, to: Role, coupling: CouplingParams = None) -> Rol
 
     return RoleFunction(
         role=to,
-        evaluator=ev,
+        evaluator=_reentrant_if(ev, e, f.derivative or e),
         provenance=f.provenance + (f"{f.role.value}->{to.value}",),
         breakpoints=bp,
         constants=consumed,

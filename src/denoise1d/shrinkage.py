@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import _interface_pass, _last
-from .nonlinearities import SQRT2, Role, RoleFunction
+from .nonlinearities import SQRT2, Role, RoleFunction, _reentrant_if
 from .signals import Signal1D
 
 
@@ -74,7 +74,8 @@ def _haar_update(x, fd, s, fd_left, s_left):
 
 def _haar_interface(ev):
     # S once per interface, on fd/sqrt2; S(0), its last value, is the wall's.
-    return lambda fd: ev(fd / SQRT2)
+    # Reentrant when ev is.
+    return _reentrant_if(lambda fd: ev(fd / SQRT2), ev)
 
 
 def _shift_invariant_values(x, ev):

@@ -1,19 +1,24 @@
-"""Parts of a long pass: bit for bit, with the caller's state, and safe
-under fork and nesting.
+"""Parts of a long pass: bit for bit, with the caller's state, safe
+under fork and nesting, and only for the package's own evaluators.
 
 A pass over more than ``diffusion._CHUNK`` samples runs its windows in
 up to ``diffusion._WORKERS`` contiguous parts at once, each of at least
-``diffusion._PART_WINDOWS`` windows.  With these constants patched
-small, every part seam and the ring that the wall closes show up in
-short signals.  Outputs are compared as bit patterns with the one-part
-pass, so signed zeros count.
+``diffusion._PART_WINDOWS`` windows, when every evaluator it calls is
+one the package built.  With these constants patched small, every part
+seam and the ring that the wall closes show up in short signals.  The
+test evaluators below are marked as the package's own so that they run
+in parts.  Outputs are compared as bit patterns with the one-part pass,
+so signed zeros count.
 """
 
+import dataclasses
+import functools
 import os
 import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 import warnings
 from unittest import mock
@@ -36,10 +41,12 @@ from denoise1d import (
     make_role_function,
     relu,
     translate,
+    user_role_function,
 )
 from denoise1d import diffusion
 from denoise1d.blocks import _apply
 from denoise1d.diffusion import _flux_step
+from denoise1d.nonlinearities import _is_reentrant, _reentrant
 from denoise1d.shrinkage import _shift_invariant_values
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(denoise1d.__file__)))
@@ -49,9 +56,15 @@ CHUNKS = (1, 2, 3, 5)
 DEADLINE_S = 60.0
 
 
+@_reentrant
 def _offset(r):
     # phi(0) = S(0) = 0.3, so the wall value is not zero.
     return r + 0.3
+
+
+@_reentrant
+def _tanh(r):
+    return np.tanh(r)
 
 
 ACTIVATIONS = tuple(make_role_function(FamilySpec(f), Role.ACTIVATION).evaluator for f in Family) + (
@@ -132,7 +145,7 @@ class TestBitIdentical:
             w1=data.draw(stencil(5)),
             sigma1=data.draw(st.sampled_from(ACTIVATIONS)),
             w2=data.draw(st.sampled_from((1, 3, 5)).flatmap(stencil)),
-            sigma2=data.draw(st.sampled_from((lambda r: r, relu, np.tanh))),
+            sigma2=data.draw(st.sampled_from((_reentrant(lambda r: r), relu, _tanh, np.tanh))),
             b1=data.draw(bias()),
             b2=data.draw(bias()),
         )
@@ -164,10 +177,6 @@ class TestPartition:
         assert len(diffusion._parts(n - diffusion._CHUNK)) == 1
         assert len(diffusion._parts(n)) == min(diffusion._WORKERS, 2)
 
-    def test_one_worker_per_usable_cpu(self):
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        assert diffusion._WORKERS == cpus
-
     def test_one_worker_never_makes_the_pool(self):
         x = np.linspace(-1.0, 1.0, 11) ** 3
         ev = ACTIVATIONS[3]
@@ -179,6 +188,15 @@ class TestPartition:
             euler_lagrange_residual(f, f, spec)
             _apply(block, x)
             assert diffusion._pool is None
+
+    def test_the_pool_has_only_the_threads_a_pass_needs(self):
+        x, ev = np.linspace(-1.0, 1.0, 16) ** 3, ACTIVATIONS[3]
+        with mock.patch.object(diffusion, "_pool", None), _parts(64, 4):
+            threads = []
+            for n in (8, 16, 8):  # 2, 4 and 2 parts of one window each
+                _flux_step(x[:n], ev, 0.1, 1.0)
+                threads.append(diffusion._pool.threads)
+        assert threads == [1, 3, 3]
 
 
 class Marker(Exception):
@@ -205,6 +223,7 @@ class TestCallerState:
         assert_bit_identical(one, out)
 
     def test_a_failure_in_the_second_part_reaches_the_caller(self):
+        @_reentrant
         def picky(r):
             if np.any(r == 7.0):
                 raise Marker
@@ -221,6 +240,7 @@ class TestCallerState:
 
     def test_the_first_failure_in_part_order_is_raised(self):
         # Part p of four sees fd = p; part 1 fails last in time.
+        @_reentrant
         def picky(r):
             p = int(r.max())
             if p == 1:
@@ -237,6 +257,7 @@ class TestCallerState:
     def test_every_part_has_ended_when_the_caller_raises(self):
         ended = []
 
+        @_reentrant
         def picky(r):
             if r.max() == 0.0:  # the caller's part
                 raise Marker
@@ -248,6 +269,78 @@ class TestCallerState:
         with _parts(4, 2), pytest.raises(Marker):
             _flux_step(x, picky, 0.1, 1.0)
         assert ended == [2, 2, 2]
+
+
+class TestForeignEvaluators:
+    # Only evaluators the package builds run on several threads; any other
+    # callable, a user's or a wrapper that counts calls, runs on the
+    # caller's thread, one window after another.
+
+    def test_the_package_evaluators_are_reentrant(self):
+        for family in Family:
+            for role in Role:
+                rf = make_role_function(FamilySpec(family), role)
+                assert _is_reentrant(rf.evaluator)
+                for to in Role:
+                    assert _is_reentrant(translate(rf, to, CouplingParams(tau=0.25, alpha=0.25)).evaluator)
+            psi = make_role_function(FamilySpec(family), Role.REGULARISER)
+            assert _is_reentrant(psi.derivative)
+        assert _is_reentrant(relu) and _is_reentrant(ResidualBlock(w1=[1.0], sigma1=relu, w2=[1.0]).sigma2)
+
+    def test_other_evaluators_are_not(self):
+        phi = make_role_function(FamilySpec(Family.PERONA_MALIK), Role.ACTIVATION)
+
+        @functools.wraps(phi.evaluator)
+        def wrapped(r):
+            return phi.evaluator(r)
+
+        user = user_role_function(Role.ACTIVATION, lambda r: r + 0.0)
+        replaced = dataclasses.replace(phi, evaluator=wrapped)
+        for ev in (np.tanh, wrapped, user.evaluator, translate(user, Role.SHRINKAGE, CouplingParams(tau=0.25)).evaluator,
+                   translate(replaced, Role.DIFFUSIVITY).evaluator, [].append):
+            assert not _is_reentrant(ev)
+
+    def test_a_package_evaluator_runs_in_parts(self):
+        x = np.random.default_rng(6).uniform(-4.0, 4.0, 23)
+        phi = make_role_function(FamilySpec(Family.CHARBONNIER), Role.ACTIVATION)
+        psi = make_role_function(FamilySpec(Family.CHARBONNIER), Role.REGULARISER)
+        u, spec = Signal1D(x), EnergySpec(psi=psi, alpha=0.5)
+        kernels = (
+            lambda: _flux_step(x, phi.evaluator, 0.1, 1.0),
+            lambda: _shift_invariant_values(x, translate(phi, Role.SHRINKAGE, CouplingParams(tau=0.25)).evaluator),
+            lambda: euler_lagrange_residual(u, u, spec),
+            lambda: _apply(ResidualBlock(w1=[0.0, -1.0, 1.0], sigma1=phi.evaluator, w2=[-0.1, 0.1, 0.0]), x),
+            lambda: _apply(ResidualBlock(w1=[0.0, -1.0, 1.0], sigma1=relu, w2=[-0.1, 0.1, 0.0], sigma2=relu), x),
+        )
+        for kernel in kernels:
+            with _parts(2, 2), mock.patch.object(diffusion, "_run_parts", wraps=diffusion._run_parts) as run_parts:
+                kernel()
+            assert [len(call.args[1]) for call in run_parts.call_args_list] == [2]
+
+    def test_a_foreign_evaluator_runs_on_the_callers_thread(self):
+        threads = set()
+
+        def seen(fn):
+            def ev(r):
+                threads.add(threading.get_ident())
+                return fn(r)
+            return ev
+
+        x = np.random.default_rng(5).uniform(-4.0, 4.0, 23)
+        phi = make_role_function(FamilySpec(Family.CHARBONNIER), Role.ACTIVATION).evaluator
+        psi = user_role_function(Role.REGULARISER, seen(lambda r: r * r))
+        u, spec = Signal1D(x), EnergySpec(psi=psi, alpha=0.5)
+        kernels = (
+            lambda: _flux_step(x, seen(phi), 0.1, 1.0),
+            lambda: _shift_invariant_values(x, seen(phi)),
+            lambda: euler_lagrange_residual(u, u, spec).values,
+            lambda: _apply(ResidualBlock(w1=[0.0, -1.0, 1.0], sigma1=seen(phi), w2=[-0.1, 0.1, 0.0]), x),
+            lambda: _apply(ResidualBlock(w1=[0.0, -1.0, 1.0], sigma1=phi, w2=[-0.1, 0.1, 0.0], sigma2=seen(relu)), x),
+        )
+        for kernel in kernels:
+            one, out = _by_workers(4, 2, kernel)
+            assert_bit_identical(one, out)
+        assert threads == {threading.get_ident()}
 
 
 def _wait_or_kill(pid):
@@ -292,11 +385,17 @@ class TestNoHang:
             import numpy as np
             from denoise1d import diffusion
             from denoise1d.diffusion import _flux_step
+            from denoise1d.nonlinearities import _reentrant
 
             diffusion._CHUNK, diffusion._PART_WINDOWS = 4, 1
 
+            @_reentrant
+            def tanh(r):
+                return np.tanh(r)
+
+            @_reentrant
             def nested(r):
-                inner = _flux_step(np.linspace(0.0, 1.0, 16) ** 2, np.tanh, 0.1, 1.0)
+                inner = _flux_step(np.linspace(0.0, 1.0, 16) ** 2, tanh, 0.1, 1.0)
                 return np.tanh(r) + 0.0 * inner[0]
 
             x = np.random.default_rng(4).uniform(-4.0, 4.0, 29)
