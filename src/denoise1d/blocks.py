@@ -10,14 +10,14 @@ ghosts at the reflecting walls are zero.  With the diffusion wiring
 sigma1 the flux function, sigma2 the identity, no biases) a block
 reproduces one explicit diffusion step to rounding.
 
-Past ``diffusion._CHUNK`` samples a block runs in the windows and parts
-of ``diffusion._parts``, not by the ring rule of the ``diffusion``
-docstring: each window reads its input with a halo of p1 + p2 samples
-(p the half-width of a stencil), which carries what it needs from its
-neighbours: sigma1 is evaluated on the window's inner values plus p2 on
-each side, so halo values are computed by both windows that read them,
-and the windows are independent.  The windows run in parts on several
-threads only when sigma1 and sigma2 are both built by this package.
+Past ``diffusion._CHUNK`` samples a block runs in the window loop of
+every long pass, ``diffusion._windowed``: each window reads its input
+with a halo of p1 + p2 samples (p the half-width of a stencil), trimmed
+to the ghosts each stencil needs, so sigma1 is evaluated on the window's
+inner values plus p2 on each side, never on one the whole block does
+not compute.  The windows run in parts on several threads only when
+sigma1 and sigma2 are both built by this package.  :func:`chain` runs
+one block after another through ``diffusion._run``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import diffusion
-from .diffusion import _last
+from .diffusion import _last, _run
 from .nonlinearities import SQRT2, Role, RoleFunction, _reentrant
 from .signals import Signal1D
 
@@ -116,21 +116,18 @@ def _apply(block, x):
     n, p1, p2 = x.size, block._p1, block._p2
     if n <= diffusion._CHUNK:
         return np.asarray(_residual(block, x, p1, p1, p2, p2, block.b1, block.b2, x), dtype=np.float64)
-    out = np.empty_like(x)
 
-    def part(windows):
-        for a, b in windows:
-            # The outer stencil reads inner values over [a - p2, b + p2); those
-            # in [lo, hi) lie in the signal and read x over [s, t) plus ghosts.
-            lo, hi = max(a - p2, 0), min(b + p2, n)
-            s, t = max(lo - p1, 0), min(hi + p1, n)
-            out[a:b] = _residual(
-                block, x[s:t], s - lo + p1, hi + p1 - t, lo - a + p2, b + p2 - hi,
-                block.b1[lo:hi], block.b2[a:b], x[a:b],
-            )
+    def step(a, b):
+        # The outer stencil reads inner values over [a - p2, b + p2); those
+        # in [lo, hi) lie in the signal and read x over [s, t) plus ghosts.
+        lo, hi = max(a - p2, 0), min(b + p2, n)
+        s, t = max(lo - p1, 0), min(hi + p1, n)
+        return _residual(
+            block, x[s:t], s - lo + p1, hi + p1 - t, lo - a + p2, b + p2 - hi,
+            block.b1[lo:hi], block.b2[a:b], x[a:b],
+        )
 
-    diffusion._run_parts(part, diffusion._parts(n, block.sigma1, block.sigma2))
-    return out
+    return diffusion._windowed(x, step, block.sigma1, block.sigma2)
 
 
 def _residual(block, x_in, l1, r1, l2, r2, b1, b2, x_out):
@@ -169,14 +166,9 @@ def make_diffusion_block(phi: RoleFunction, tau: float, h: float) -> ResidualBlo
 
 def chain(blocks, f: Signal1D) -> Signal1D:
     """Left-to-right composition of blocks; an empty chain is the identity."""
-    return _last(_chain_states(blocks, f.values), f)
-
-
-def _chain_states(blocks, x):
-    # The block loop: yields the state after each block.
-    for block in blocks:
-        x = _apply(block, x)
-        yield x
+    # One step per block: _apply bound to the block as a method, which
+    # costs no Python frame of its own.
+    return _last(_run(f.values, map(_apply.__get__, blocks)), f)
 
 
 @_reentrant

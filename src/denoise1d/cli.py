@@ -13,6 +13,8 @@ Exit codes: 0 ok, 1 usage error, 2 I/O error, 3 stability violation.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import math
 import os
 import sys
@@ -20,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import _chain_states, make_diffusion_block
+from .blocks import _apply, make_diffusion_block
 from .blocks import chain  # noqa: F401  traced by name (bench/tracing.py)
 from .diffusion import StabilityViolation, StepSizeMode, _check_budget, _last, _lipschitz
-from .diffusion import _schedule, _states, _windows, max_stable_tau
+from .diffusion import _run, _schedule, _states, _windows, max_stable_tau
 from .diffusion import diffuse, explicit_step  # noqa: F401  traced by name (bench/tracing.py)
 from .nonlinearities import (
     CouplingParams,
@@ -34,7 +36,7 @@ from .nonlinearities import (
     translate,
 )
 from .nonlinearities import estimate_lipschitz  # noqa: F401  traced by name (bench/tracing.py)
-from .shrinkage import _require_unit_grid, _shrink_states
+from .shrinkage import _haar_pass, _require_unit_grid
 from .shrinkage import iterate_shrinkage  # noqa: F401  traced by name (bench/tracing.py)
 from .signals import Signal1D
 from .stability import _observe, analyze
@@ -204,9 +206,10 @@ def _denoise_signal(f: Signal1D, method, spec, tau, mode, steps=None, stopping_t
         )
     if method == "wavelet":
         shrink = translate(phi, Role.SHRINKAGE, CouplingParams(tau=tau))
-        return _shrink_states(f.values, shrink.evaluator, steps), tau, L
+        return _run(f.values, itertools.repeat(_haar_pass(shrink.evaluator), steps)), tau, L
     if method == "resnet":
-        return _chain_states([make_diffusion_block(phi, tau, f.h)] * steps, f.values), tau, L
+        block = functools.partial(_apply, make_diffusion_block(phi, tau, f.h))
+        return _run(f.values, itertools.repeat(block, steps)), tau, L
     return _states(f.values, phi, tau, steps, f.h), tau, L
 
 

@@ -8,8 +8,8 @@ through its two cell interfaces,
 with fd/bd the clamped forward/backward differences.  Equivalently the
 update is a conservation form: interface fluxes, with zero flux through
 the reflecting walls, so the sample sum is preserved exactly up to
-rounding.  Each method has its own state generator, and every run
-finishes through the one drain, ``_last``, defined here.
+rounding.  Every method runs through the one state loop, ``_run``, and
+every run finishes through the one drain, ``_last``, defined here.
 
 Every step here and in :mod:`.shrinkage`, and the divergence of
 :mod:`.variational`, is one ``_interface_pass``: it evaluates one value
@@ -17,14 +17,12 @@ per interface on the clamped forward differences fd and moves each
 sample by an ``update`` of the values at its two interfaces.  The left
 neighbour of sample 0 is the last entry of every interface array: fd[-1]
 is exactly 0.0, so phi(0) and S(0) are the wall values.  A pass over more
-than ``_CHUNK`` samples runs window by window, so that each window's
-temporaries stay in cache, and its windows run in up to ``_WORKERS``
-contiguous parts of at least ``_PART_WINDOWS`` windows at once.  Within a
-part, a window carries its left interface's values from the one before.
-The parts form a ring closed by the wall: once all have run, the first
-sample of each part is finished with the last values of the part before
-it, and the part before part 0 is the last part, whose last values are
-the wall values.  One part is the serial pass.  Only evaluators that
+than ``_CHUNK`` samples runs through the one window loop, ``_windowed``,
+so that each window's temporaries stay in cache; its windows run in up
+to ``_WORKERS`` contiguous parts of at least ``_PART_WINDOWS`` windows at
+once.  Each window reads a halo: the interface pass steps x[a-1:b+1]
+(clamped to the signal) as a whole array and keeps [a, b), so a seam's
+interface is evaluated by both windows beside it.  Only evaluators that
 :mod:`.nonlinearities` builds run on several threads at once; a pass
 that calls any other runs in one part.
 """
@@ -34,6 +32,8 @@ from __future__ import annotations
 import collections
 import contextvars
 import enum
+import functools
+import itertools
 import math
 import os
 import threading
@@ -120,13 +120,13 @@ class _Part:
 
     def __init__(self, run, part):
         self.context, self.run, self.part = contextvars.copy_context(), run, part
-        self.value = self.error = None
+        self.error = None
         self.done = threading.Lock()
         self.done.acquire()
 
     def __call__(self):
         try:
-            self.value = self.context.run(self.run, self.part)
+            self.context.run(self.run, self.part)
         except BaseException as exc:  # raised by the caller, in part order
             self.error = exc
         finally:
@@ -193,86 +193,88 @@ if hasattr(os, "register_at_fork"):
 
 
 def _run_parts(run, parts):
-    # [run(part) for part in parts], the first part on the calling thread
-    # and the others on the pool, each in a copy of the caller's context
-    # (numpy's errstate lives there).  Every part has ended before this
-    # returns or raises, and the first failure in part order is raised.  A
-    # pass started on a pool thread runs its parts there, one after the
-    # other, so no pool thread ever waits on the pool.
-    if len(parts) == 1 or getattr(_on_pool, "thread", False):
-        return [run(p) for p in parts]
-    pool = _pool_of(len(parts) - 1)
-    rest = [pool.put(run, p) for p in parts[1:]]
+    # run(part) for each part, the first part on the calling thread and the
+    # others on the pool, each in a copy of the caller's context (numpy's
+    # errstate lives there).  Every part has ended before this returns or
+    # raises, and the first failure in part order is raised.  A pass
+    # started on a pool thread runs its parts there, one after the other,
+    # so no pool thread ever waits on the pool.
+    serial = len(parts) == 1 or getattr(_on_pool, "thread", False)
+    pool = None if serial else _pool_of(len(parts) - 1)
+    rest = [] if serial else [pool.put(run, p) for p in parts[1:]]
     try:
-        first = run(parts[0])
+        for p in parts if serial else parts[:1]:
+            run(p)
     finally:
         for part in rest:
             part.done.acquire()
     for part in rest:
         if part.error is not None:
             raise part.error
-    return [first] + [part.value for part in rest]
 
 
-def _interface_pass(x, h, interface, update):
-    # update(x, fd, v, fd_left, v_left) on each window, where v =
-    # interface(fd) holds the values at the samples' right interfaces and
-    # fd_left, v_left those at the interface left of the first sample.
-    if x.size <= _CHUNK:
-        fd = _fdiff(x, h)
-        v = interface(fd)
-        return update(x, fd, v, fd[-1], v[-1])
+def _windowed(x, step, *evaluators):
+    # The one window loop of a long pass: out[a:b] = step(a, b) for each
+    # window [a, b) of x, in the parts of _parts(x.size, *evaluators).
     out = np.empty_like(x)
 
-    def carry(windows):
-        # One part; its first sample is finished below, from the part before.
-        # Returns that sample's own interface values (copies, so that the
-        # window's arrays are freed) and the part's last ones.
-        head, left = None, (0.0, 0.0)
+    def run(windows):
         for a, b in windows:
-            fd = _fdiff(x[a : b + 1], h)[: b - a]
-            v = interface(fd)
-            out[a:b] = update(x[a:b], fd, v, *left)
-            if head is None:
-                head = fd[:1].copy(), v[:1].copy()
-            left = fd[-1], v[-1]
-        return head, left
+            out[a:b] = step(a, b)
 
-    parts = _parts(x.size, interface)
-    ends = _run_parts(carry, parts)
-    for p, windows in enumerate(parts):
-        a = windows[0][0]
-        out[a : a + 1] = update(x[a : a + 1], *ends[p][0], *ends[p - 1][1])
+    _run_parts(run, _parts(x.size, *evaluators))
     return out
 
 
-def _divergence(w, left, h):
-    # Flux difference around each sample of a window: w holds the fluxes
-    # through the samples' right interfaces, left the flux into the first.
+def _interface_pass(h, interface, update, x):
+    # update(x, fd, v) on x, where v = interface(fd) holds the values at
+    # the samples' right interfaces and v[-1], the wall's, the one left of
+    # sample 0.  Past _CHUNK, each window [a, b) steps x[a-1:b+1] (clamped
+    # to x) that way and keeps [a, b).  x comes last, so that a partial of
+    # the rest is an array -> array step of _run.
+    if x.size <= _CHUNK:
+        fd = _fdiff(x, h)
+        return update(x, fd, interface(fd))
+
+    def step(a, b):
+        s = max(a - 1, 0)
+        fd = _fdiff(x[s : b + 1], h)
+        return update(x[s : b + 1], fd, interface(fd))[a - s : b - s]
+
+    return _windowed(x, step, interface)
+
+
+def _divergence(w, h):
+    # Flux difference around each sample: w holds the fluxes through the
+    # samples' right interfaces, and w[-1], the wall's, that into the first.
     div = np.empty_like(w)
-    div[0] = w[0] - left
+    div[0] = w[0] - w[-1]
     np.subtract(w[1:], w[:-1], out=div[1:])
     if h != 1.0:
         div /= h
     return div
 
 
-def _flux_update(tau, h):
-    # The explicit step as an update of _interface_pass on the fluxes w.
-    return lambda x, fd, w, fd_left, w_left: x + tau * _divergence(w, w_left, h)
+def _flux_pass(ev, tau, h):
+    # The explicit step as an array -> array step of _run.
+    return functools.partial(_interface_pass, h, ev, lambda x, fd, w: x + tau * _divergence(w, h))
 
 
 def _flux_step(x, ev, tau, h):
     # One explicit step on raw samples.
-    return _interface_pass(x, h, ev, _flux_update(tau, h))
+    return _flux_pass(ev, tau, h)(x)
+
+
+def _run(x, steps):
+    # The one state loop of every method: the state after each step, in turn.
+    for step in steps:
+        x = step(x)
+        yield x
 
 
 def _states(x, phi, tau, m, h):
-    # The loop of the explicit scheme: yields each of the m states after x.
-    ev, update = phi.evaluator, _flux_update(tau, h)
-    for _ in range(m):
-        x = _interface_pass(x, h, ev, update)
-        yield x
+    # The flux run of m steps; a partial step costs no Python frame of its own.
+    return _run(x, itertools.repeat(_flux_pass(phi.evaluator, tau, h), m))
 
 
 def _last(states, f):

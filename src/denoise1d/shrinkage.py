@@ -17,17 +17,20 @@ is also the wall value the backward side needs.  Grid size 1
 is required; the pairing of neighbouring samples has no scale parameter.
 
 The step is an update of ``diffusion._interface_pass``, whose module
-docstring states the windowing rule; the interface values are
-S(fd/sqrt2).
+docstring states the halo rule of long passes: past one window, S is
+evaluated on N + 2*(windows - 1) values.  :func:`iterate_shrinkage` runs
+the step through ``diffusion._run``, the one state loop.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import _interface_pass, _last
+from .diffusion import _interface_pass, _last, _run
 from .nonlinearities import SQRT2, Role, RoleFunction, _reentrant_if
 from .signals import Signal1D
 
@@ -54,20 +57,20 @@ def shrink_pair(a: float, b: float, shrink: RoleFunction):
     return (s - sw) / SQRT2, (s + sw) / SQRT2
 
 
-def _haar_update(x, fd, s, fd_left, s_left):
-    # Closed form of the cycle-spun step on one window:
+def _haar_update(x, fd, s):
+    # Closed form of the cycle-spun step:
     #   u + (fd - bd)/4 + (S(bd/sqrt2) - S(fd/sqrt2)) / (2 sqrt2)
     # with clamped differences, which is exactly the average of each
     # sample's two pair reconstructions.  fd and s = S(fd/sqrt2) belong to
-    # the samples' right interfaces, fd_left and s_left to the interface
-    # left of the first, so bd and S(bd/sqrt2) are fd and s shifted right
-    # by one behind them.  Each entry below is the same scalar subtraction
-    # as in fd - bd and S(bd/sqrt2) - S(fd/sqrt2).
+    # the samples' right interfaces, and their last entries, the wall's, to
+    # the interface left of the first, so bd and S(bd/sqrt2) are fd and s
+    # rotated right by one.  Each entry below is the same scalar
+    # subtraction as in fd - bd and S(bd/sqrt2) - S(fd/sqrt2).
     d = np.empty_like(fd)  # fd - bd
-    d[0] = fd[0] - fd_left
+    d[0] = fd[0] - fd[-1]
     np.subtract(fd[1:], fd[:-1], out=d[1:])
     e = np.empty_like(s)  # S(bd/sqrt2) - S(fd/sqrt2)
-    e[0] = s_left - s[0]
+    e[0] = s[-1] - s[0]
     np.subtract(s[:-1], s[1:], out=e[1:])
     return x + 0.25 * d + e / (2.0 * SQRT2)
 
@@ -78,8 +81,13 @@ def _haar_interface(ev):
     return _reentrant_if(lambda fd: ev(fd / SQRT2), ev)
 
 
+def _haar_pass(ev):
+    # The shrinkage step as an array -> array step of diffusion._run.
+    return functools.partial(_interface_pass, 1.0, _haar_interface(ev), _haar_update)
+
+
 def _shift_invariant_values(x, ev):
-    return _interface_pass(x, 1.0, _haar_interface(ev), _haar_update)
+    return _haar_pass(ev)(x)
 
 
 def _require_unit_grid(h):
@@ -102,12 +110,4 @@ def iterate_shrinkage(f: Signal1D, shrink: RoleFunction, m: int) -> Signal1D:
     if shrink.role is not Role.SHRINKAGE:
         raise ValueError("iterate_shrinkage expects a shrinkage function")
     _require_unit_grid(f.h)
-    return _last(_shrink_states(f.values, shrink.evaluator, m), f)
-
-
-def _shrink_states(x, ev, m):
-    # The shrinkage loop: yields each of the m states after x.
-    interface = _haar_interface(ev)
-    for _ in range(m):
-        x = _interface_pass(x, 1.0, interface, _haar_update)
-        yield x
+    return _last(_run(f.values, itertools.repeat(_haar_pass(shrink.evaluator), m)), f)

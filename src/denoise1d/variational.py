@@ -62,7 +62,7 @@ def discrete_energy(u: Signal1D, f: Signal1D, spec: EnergySpec) -> float:
 def _divergence_of(u, spec):
     # div(psi'(fd u)/2): the interface pass with the divergence as update.
     ev = translate(spec.psi, Role.ACTIVATION).evaluator
-    return _interface_pass(u.values, u.h, ev, lambda x, fd, w, fd_left, w_left: _divergence(w, w_left, u.h))
+    return _interface_pass(u.h, ev, lambda x, fd, w: _divergence(w, u.h), u.values)
 
 
 def euler_lagrange_residual(u: Signal1D, f: Signal1D, spec: EnergySpec) -> Signal1D:

@@ -5,7 +5,7 @@ A pass over more than ``diffusion._CHUNK`` samples runs its windows in
 up to ``diffusion._WORKERS`` contiguous parts at once, each of at least
 ``diffusion._PART_WINDOWS`` windows, when every evaluator it calls is
 one the package built.  With these constants patched small, every part
-seam and the ring that the wall closes show up in short signals.  The
+seam and every window's halo show up in short signals.  The
 test evaluators below are marked as the package's own so that they run
 in parts.  Outputs are compared as bit patterns with the one-part pass,
 so signed zeros count.
@@ -142,9 +142,9 @@ class TestBitIdentical:
             return st.one_of(st.just([]), st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
 
         block = ResidualBlock(
-            w1=data.draw(stencil(5)),
+            w1=data.draw(st.sampled_from((1, 3, 5, 7, 9)).flatmap(stencil)),
             sigma1=data.draw(st.sampled_from(ACTIVATIONS)),
-            w2=data.draw(st.sampled_from((1, 3, 5)).flatmap(stencil)),
+            w2=data.draw(st.sampled_from((1, 3, 5, 7, 9)).flatmap(stencil)),
             sigma2=data.draw(st.sampled_from((_reentrant(lambda r: r), relu, _tanh, np.tanh))),
             b1=data.draw(bias()),
             b2=data.draw(bias()),
@@ -268,7 +268,9 @@ class TestCallerState:
         x = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 2.0, 0.0, 3.0])
         with _parts(4, 2), pytest.raises(Marker):
             _flux_step(x, picky, 0.1, 1.0)
-        assert ended == [2, 2, 2]
+        # Each window asks for its samples and a halo of one on each side;
+        # the pool's threads end in no fixed order.
+        assert sorted(ended) == [3, 4, 4]
 
 
 class TestForeignEvaluators:

@@ -226,7 +226,8 @@ class TestOneEvaluationPerInterface:
         u = Signal1D(np.linspace(0.0, 1.0, n) ** 2)
         with mock.patch.object(diffusion, "_CHUNK", chunk):
             shift_invariant_step(u, user_role_function(Role.SHRINKAGE, counter))
-        assert counter.sizes == [min(chunk, n - a) for a in range(0, n, chunk)]
+        windows = [(a, min(a + chunk, n)) for a in range(0, n, chunk)]
+        assert counter.sizes == [min(b + 1, n) - max(a - 1, 0) for a, b in windows]
 
     def test_iteration_asks_for_m_times_n_values(self):
         counter = _CountingEvaluator(shrink_of(Family.CHARBONNIER).evaluator)

@@ -1,11 +1,11 @@
 """Window edges of the step kernels, bit for bit.
 
 A step over more than ``diffusion._CHUNK`` samples runs window by
-window.  The references below are the whole-array kernels as they were
-before windowing, kept verbatim.  With ``_CHUNK`` patched to a few
-samples, every window edge, every carried boundary value and the wall
-value show up in short signals; outputs are compared as bit patterns,
-so signed zeros count.
+window, each read with a halo.  The references below are the
+whole-array kernels as they were before windowing, kept verbatim.  With
+``_CHUNK`` patched to a few samples, every window edge, every halo and
+the wall value show up in short signals; outputs are compared as bit
+patterns, so signed zeros count.
 """
 
 import math
@@ -189,7 +189,9 @@ class TestWindowEdges:
 
 
 class TestOneCallPerWindow:
-    @pytest.mark.parametrize("n, chunk, sizes", [(5, 2, [2, 2, 1]), (6, 3, [3, 3]), (7, 1, [1] * 7)])
+    # Each window [a, b) asks for min(b + 1, n) - max(a - 1, 0) values: its
+    # samples and a halo of one on each side, clamped to the signal.
+    @pytest.mark.parametrize("n, chunk, sizes", [(5, 2, [3, 4, 2]), (6, 3, [4, 4]), (7, 1, [2] + [3] * 5 + [2])])
     def test_flux_step_asks_for_n_values_in_one_call_per_window(self, n, chunk, sizes):
         asked = []
 
