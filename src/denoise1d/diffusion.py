@@ -8,8 +8,11 @@ through its two cell interfaces,
 with fd/bd the clamped forward/backward differences.  Equivalently the
 update is a conservation form: interface fluxes, with zero flux through
 the reflecting walls, so the sample sum is preserved exactly up to
-rounding.  Every method runs through the one state loop, ``_run``, and
-every run finishes through the one drain, ``_last``, defined here.
+rounding.  Every method runs through the one state loop, ``_run``.  A
+run that returns a signal finishes through the one drain, ``_last``,
+defined here; ``denoise``, ``analyze`` and ``check_range_preservation``
+drain through ``stability._observe``, which reads the report off each
+state as it passes.
 
 Every step here and in :mod:`.shrinkage`, and the divergence of
 :mod:`.variational`, is one ``_interface_pass``: it evaluates one value
@@ -86,13 +89,16 @@ class DiffusionPlan:
 
 
 def max_stable_tau(L: float, h: float, mode: StepSizeMode) -> float:
-    """Largest admissible time step: h^2/(2L), halved for sign stability."""
+    """Largest admissible time step: h^2/(2L), halved for sign stability.
+
+    ``mode`` is a :class:`StepSizeMode` or one of its values.
+    """
     if not np.isfinite(L) or L <= 0.0:
         raise ValueError(f"Lipschitz constant must be positive, got {L!r}")
     if not np.isfinite(h) or h <= 0.0:
         raise ValueError(f"grid size must be positive, got {h!r}")
     bound = h * h / (2.0 * L)
-    if mode is StepSizeMode.SIGN_STABLE:
+    if StepSizeMode(mode) is StepSizeMode.SIGN_STABLE:
         bound /= 2.0
     return bound
 
@@ -260,11 +266,6 @@ def _flux_pass(ev, tau, h):
     return functools.partial(_interface_pass, h, ev, lambda x, fd, w: x + tau * _divergence(w, h))
 
 
-def _flux_step(x, ev, tau, h):
-    # One explicit step on raw samples.
-    return _flux_pass(ev, tau, h)(x)
-
-
 def _run(x, steps):
     # The one state loop of every method: the state after each step, in turn.
     for step in steps:
@@ -296,8 +297,7 @@ def explicit_step(u: Signal1D, phi: RoleFunction, tau: float) -> Signal1D:
         raise ValueError("explicit_step expects an activation function")
     if not np.isfinite(tau) or tau <= 0.0:
         raise ValueError(f"time step must be positive, got {tau!r}")
-    out = _flux_step(u.values, phi.evaluator, tau, u.h)
-    return Signal1D._wrap(out, u.h)
+    return Signal1D._wrap(_flux_pass(phi.evaluator, tau, u.h)(u.values), u.h)
 
 
 def _lipschitz(phi, f):
@@ -316,21 +316,28 @@ def _check_budget(m):
         raise StabilityViolation(f"the run needs m = {m} steps, above the budget of {_STEP_BUDGET}")
 
 
+def _fewest_steps(T, tau_max):
+    # The smallest m with T/m within tau_max, for T > 0.  A tau_max of 0
+    # (h^2/(2L) underflows) needs infinitely many.
+    steps = T / tau_max if tau_max > 0.0 else math.inf
+    if math.isinf(steps):
+        raise ValueError(f"stopping time {T!r} needs a step count that overflows float64")
+    m = max(1, int(math.ceil(steps)))  # T/tau_max can underflow to 0
+    if T / m > tau_max:  # T/m can round one ulp above the bound
+        m += 1
+    return m
+
+
 def _schedule(f, phi, T, mode):
-    # (L, tau, m) of diffuse: the smallest m with T/m within the bound,
-    # and within the step budget.
+    # (L, tau, m) of diffuse: the fewest steps within the bound, and
+    # within the step budget.
     if not np.isfinite(T) or T < 0.0:
         raise ValueError(f"stopping time must be nonnegative, got {T!r}")
     L = _lipschitz(phi, f)
     tau_max = max_stable_tau(L, f.h, mode)
     if T == 0.0:
         return L, tau_max, 0
-    steps = T / tau_max
-    if math.isinf(steps):
-        raise ValueError(f"stopping time {T!r} needs a step count that overflows float64")
-    m = max(1, int(math.ceil(steps)))  # T/tau_max can underflow to 0
-    if T / m > tau_max:  # T/m can round one ulp above the bound
-        m += 1
+    m = _fewest_steps(T, tau_max)
     _check_budget(m)
     return L, T / m, m
 

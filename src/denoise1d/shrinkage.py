@@ -7,14 +7,19 @@ pair is synthesised back.  Averaging each sample's two reconstructions
 (cycle spinning over the two pairings, with reflected phantom pairs of
 zero wavelet coefficient at the ends) gives one shift-invariant step.
 
-The step is implemented once, as a closed-form update; the tests keep
-the literal analyse/shrink/synthesise/average path as an independent
-cross-check of its algebra.  The closed form evaluates the shrinkage
-function once per interface, on the N values fd/sqrt(2): the backward
-difference is the forward difference shifted by one, and the clamped
-forward difference is zero at the right wall, so its last value S(0)
-is also the wall value the backward side needs.  Grid size 1
-is required; the pairing of neighbouring samples has no scale parameter.
+The step is implemented once, as a closed-form update, and that update
+is two flux divergences of the diffusion step (``diffusion._divergence``):
+
+    u + div(fd)/4 + div(-S(fd/sqrt2))/(2 sqrt2),
+
+with fd the clamped forward differences.  The tests keep the literal
+analyse/shrink/synthesise/average path as an independent cross-check of
+its algebra.  The closed form evaluates the shrinkage function once per
+interface, on the N values fd/sqrt(2): the backward difference is the
+forward difference shifted by one, and the clamped forward difference is
+zero at the right wall, so its last value S(0) is also the wall value
+the backward side needs.  Grid size 1 is required; the pairing of
+neighbouring samples has no scale parameter.
 
 The step is an update of ``diffusion._interface_pass``, whose module
 docstring states the halo rule of long passes: past one window, S is
@@ -28,9 +33,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
-from .diffusion import _interface_pass, _last, _run
+from .diffusion import _divergence, _interface_pass, _last, _run
 from .nonlinearities import SQRT2, Role, RoleFunction, _reentrant_if
 from .signals import Signal1D
 
@@ -58,21 +61,13 @@ def shrink_pair(a: float, b: float, shrink: RoleFunction):
 
 
 def _haar_update(x, fd, s):
-    # Closed form of the cycle-spun step:
-    #   u + (fd - bd)/4 + (S(bd/sqrt2) - S(fd/sqrt2)) / (2 sqrt2)
-    # with clamped differences, which is exactly the average of each
-    # sample's two pair reconstructions.  fd and s = S(fd/sqrt2) belong to
-    # the samples' right interfaces, and their last entries, the wall's, to
-    # the interface left of the first, so bd and S(bd/sqrt2) are fd and s
-    # rotated right by one.  Each entry below is the same scalar
-    # subtraction as in fd - bd and S(bd/sqrt2) - S(fd/sqrt2).
-    d = np.empty_like(fd)  # fd - bd
-    d[0] = fd[0] - fd[-1]
-    np.subtract(fd[1:], fd[:-1], out=d[1:])
-    e = np.empty_like(s)  # S(bd/sqrt2) - S(fd/sqrt2)
-    e[0] = s[-1] - s[0]
-    np.subtract(s[:-1], s[1:], out=e[1:])
-    return x + 0.25 * d + e / (2.0 * SQRT2)
+    # Closed form of the cycle-spun step as two flux divergences,
+    #   u + div(fd)/4 + div(-s)/(2 sqrt2),  s = S(fd/sqrt2),
+    # that is u + (fd - bd)/4 + (S(bd/sqrt2) - S(fd/sqrt2)) / (2 sqrt2) with
+    # clamped differences: exactly the average of each sample's two pair
+    # reconstructions.  div(-s) is S(bd/sqrt2) - S(fd/sqrt2) bit for bit;
+    # subtracting div(s) would turn a 0.0 into -0.0 ([-5e-324, -0.0, 0.0]).
+    return x + 0.25 * _divergence(fd, 1.0) + _divergence(-s, 1.0) / (2.0 * SQRT2)
 
 
 def _haar_interface(ev):
@@ -86,10 +81,6 @@ def _haar_pass(ev):
     return functools.partial(_interface_pass, 1.0, _haar_interface(ev), _haar_update)
 
 
-def _shift_invariant_values(x, ev):
-    return _haar_pass(ev)(x)
-
-
 def _require_unit_grid(h):
     if h != 1.0:
         raise ValueError(f"shift-invariant Haar shrinkage requires h = 1, got h = {h!r}")
@@ -100,7 +91,7 @@ def shift_invariant_step(u: Signal1D, shrink: RoleFunction) -> Signal1D:
     if shrink.role is not Role.SHRINKAGE:
         raise ValueError("shift_invariant_step expects a shrinkage function")
     _require_unit_grid(u.h)
-    return Signal1D._wrap(_shift_invariant_values(u.values, shrink.evaluator), 1.0)
+    return Signal1D._wrap(_haar_pass(shrink.evaluator)(u.values), 1.0)
 
 
 def iterate_shrinkage(f: Signal1D, shrink: RoleFunction, m: int) -> Signal1D:

@@ -15,13 +15,12 @@ ships an exact direct solve as an independent oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import StepSizeMode, _divergence, _interface_pass, _last, _lipschitz, _states
-from .diffusion import max_stable_tau
+from .diffusion import StepSizeMode, _divergence, _fewest_steps, _interface_pass, _last, _lipschitz
+from .diffusion import _states, max_stable_tau
 from .nonlinearities import Role, RoleFunction, translate
 from .nonlinearities import estimate_lipschitz  # noqa: F401  traced by name (bench/tracing.py)
 from .signals import Signal1D, _fdiff
@@ -97,7 +96,7 @@ def minimize_by_diffusion(f: Signal1D, spec: EnergySpec, m: int) -> Signal1D:
     if tau > tau_max:
         raise ValueError(
             f"tau = alpha/m = {tau:g} exceeds the stability bound {tau_max:g}; "
-            f"use m >= {int(math.ceil(spec.alpha / tau_max))}"
+            f"use m >= {_fewest_steps(spec.alpha, tau_max)}"
         )
     return _last(_states(f.values, phi, tau, m, f.h), f)
 

@@ -648,6 +648,17 @@ class TestGradientOverflow:
         assert run.stderr == "usage error: the input's gradients overflow float64; rescale the signal\n"
         assert not out.exists()
 
+    def test_a_bound_that_underflows_fails_without_a_traceback(self, tmp_path):
+        # h^2/(4L) underflows to 0.0, so --time 1 needs infinitely many steps.
+        sig, out = tmp_path / "f.csv", tmp_path / "o.csv"
+        sig.write_text("# h=1e-200\n0\n1\n0\n")
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        args = ["denoise", "--method", "diffusion", "--time", "1", "--input", str(sig), "--out", str(out)]
+        run = subprocess.run([sys.executable, "-m", "denoise1d.cli", *args], env=env, capture_output=True, text=True)
+        assert run.returncode == 1
+        assert run.stderr == "usage error: stopping time 1.0 needs a step count that overflows float64\n"
+        assert not out.exists()
+
     def test_a_grid_span_just_below_the_overflow_still_runs(self, tmp_path):
         sig, out = tmp_path / "f.csv", tmp_path / "o.csv"
         sig.write_text("0\n4e307\n")

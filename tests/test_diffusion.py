@@ -107,6 +107,15 @@ class TestMaxStableTau:
         with pytest.raises(ValueError):
             max_stable_tau(-1.0, 1.0, StepSizeMode.MAXMIN)
 
+    @pytest.mark.parametrize("mode", tuple(StepSizeMode))
+    def test_a_mode_value_selects_the_bound_of_its_member(self, mode):
+        assert max_stable_tau(1.0, 1.0, mode.value) == max_stable_tau(1.0, 1.0, mode)
+
+    @pytest.mark.parametrize("mode", (None, "bogus", "SIGN_STABLE", 0))
+    def test_any_other_mode_raises(self, mode):
+        with pytest.raises(ValueError):
+            max_stable_tau(1.0, 1.0, mode)
+
 
 class TestDiffuse:
     def test_zero_time_is_identity(self):
@@ -124,6 +133,20 @@ class TestDiffuse:
         f = Signal1D([0.0, 1.0, 0.5, 0.25])
         with pytest.raises(ValueError, match=r"^stopping time 1e\+308 needs a step count"):
             diffuse(f, phi_of(Family.PERONA_MALIK), 1e308)
+
+    @pytest.mark.parametrize("h", (1e-200, 1e-160))
+    def test_a_bound_that_underflows_is_rejected(self, h):
+        # h^2/(4L) is 0.0 at h = 1e-200 and subnormal at h = 1e-160.
+        f = Signal1D(np.linspace(0.0, 1.0, 16) ** 2, h=h)
+        with pytest.raises(ValueError, match=r"^stopping time 1\.0 needs a step count that overflows"):
+            diffuse(f, phi_of(Family.CONSTANT), 1.0)
+
+    def test_a_mode_value_plans_like_its_member(self):
+        f = Signal1D(np.linspace(0.0, 1.0, 16) ** 2)
+        phi = phi_of(Family.PERONA_MALIK)
+        by_value = diffuse(f, phi, 10.0, "sign-stable")[1]
+        by_member = diffuse(f, phi, 10.0, StepSizeMode.SIGN_STABLE)[1]
+        assert (by_value.steps, by_value.tau) == (by_member.steps, by_member.tau) == (40, 0.25)
 
     def test_a_plan_above_the_step_budget_raises_before_a_step(self):
         f = Signal1D([0.0, 1.0, 0.5, 0.25])

@@ -45,9 +45,9 @@ from denoise1d import (
 )
 from denoise1d import diffusion
 from denoise1d.blocks import _apply
-from denoise1d.diffusion import _flux_step
+from denoise1d.diffusion import _flux_pass
 from denoise1d.nonlinearities import _is_reentrant, _reentrant
-from denoise1d.shrinkage import _shift_invariant_values
+from denoise1d.shrinkage import _haar_pass
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(denoise1d.__file__)))
 WORKERS = (1, 2, 3, 4)
@@ -107,12 +107,12 @@ class TestBitIdentical:
         st.sampled_from((1.0, 0.5)),
     )
     def test_flux_step(self, workers, chunk, x, ev, tau, h):
-        assert_bit_identical(*_by_workers(workers, chunk, lambda: _flux_step(x, ev, tau, h)))
+        assert_bit_identical(*_by_workers(workers, chunk, lambda: _flux_pass(ev, tau, h)(x)))
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(WORKERS), st.sampled_from(CHUNKS), VALUES, st.sampled_from(SHRINKAGES))
     def test_shrinkage_step(self, workers, chunk, x, ev):
-        assert_bit_identical(*_by_workers(workers, chunk, lambda: _shift_invariant_values(x, ev)))
+        assert_bit_identical(*_by_workers(workers, chunk, lambda: _haar_pass(ev)(x)))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -157,7 +157,7 @@ class TestBitIdentical:
         x = rng.uniform(-4.0, 4.0, 5 * diffusion._CHUNK + 3)
         ev = make_role_function(FamilySpec(family), Role.ACTIVATION).evaluator
         for workers in (2, 3):
-            one, out = _by_workers(workers, diffusion._CHUNK, lambda: _flux_step(x, ev, 0.1, 0.5))
+            one, out = _by_workers(workers, diffusion._CHUNK, lambda: _flux_pass(ev, 0.1, 0.5)(x))
             assert_bit_identical(one, out)
 
 
@@ -183,8 +183,8 @@ class TestPartition:
         block = ResidualBlock(w1=[0.0, -1.0, 1.0], sigma1=ev, w2=[-0.1, 0.1, 0.0])
         f, spec = Signal1D(x), EnergySpec(psi=REGULARISERS[1], alpha=0.5)
         with mock.patch.object(diffusion, "_pool", None), _parts(1, 2):
-            _flux_step(x, ev, 0.1, 1.0)
-            _shift_invariant_values(x, SHRINKAGES[3])
+            _flux_pass(ev, 0.1, 1.0)(x)
+            _haar_pass(SHRINKAGES[3])(x)
             euler_lagrange_residual(f, f, spec)
             _apply(block, x)
             assert diffusion._pool is None
@@ -194,7 +194,7 @@ class TestPartition:
         with mock.patch.object(diffusion, "_pool", None), _parts(64, 4):
             threads = []
             for n in (8, 16, 8):  # 2, 4 and 2 parts of one window each
-                _flux_step(x[:n], ev, 0.1, 1.0)
+                _flux_pass(ev, 0.1, 1.0)(x[:n])
                 threads.append(diffusion._pool.threads)
         assert threads == [1, 3, 3]
 
@@ -210,16 +210,16 @@ class TestCallerState:
     @pytest.mark.parametrize("workers", (2, 4))
     def test_errstate_raise_reaches_the_last_part(self, workers):
         with _parts(workers, 2), np.errstate(all="raise"), pytest.raises(FloatingPointError):
-            _flux_step(self.OVERFLOW, _offset, 0.1, 1.0)
+            _flux_pass(_offset, 0.1, 1.0)(self.OVERFLOW)
 
     @pytest.mark.parametrize("workers", (2, 4))
     def test_errstate_ignore_reaches_the_last_part(self, workers):
         with np.errstate(all="ignore"):
             with _parts(1, 2):
-                one = _flux_step(self.OVERFLOW, _offset, 0.1, 1.0)
+                one = _flux_pass(_offset, 0.1, 1.0)(self.OVERFLOW)
             with _parts(workers, 2), warnings.catch_warnings():
                 warnings.simplefilter("error")
-                out = _flux_step(self.OVERFLOW, _offset, 0.1, 1.0)
+                out = _flux_pass(_offset, 0.1, 1.0)(self.OVERFLOW)
         assert_bit_identical(one, out)
 
     def test_a_failure_in_the_second_part_reaches_the_caller(self):
@@ -232,11 +232,11 @@ class TestCallerState:
         x = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 7.0, 7.0, 7.0])  # fd = 7 at sample 4 only
         with _parts(2, 2):
             with pytest.raises(Marker):
-                _flux_step(x, picky, 0.1, 1.0)
+                _flux_pass(picky, 0.1, 1.0)(x)
             y = np.linspace(0.0, 1.0, 8) ** 2
-            out = _flux_step(y, _offset, 0.1, 1.0)
+            out = _flux_pass(_offset, 0.1, 1.0)(y)
         with _parts(1, 2):
-            assert_bit_identical(out, _flux_step(y, _offset, 0.1, 1.0))
+            assert_bit_identical(out, _flux_pass(_offset, 0.1, 1.0)(y))
 
     def test_the_first_failure_in_part_order_is_raised(self):
         # Part p of four sees fd = p; part 1 fails last in time.
@@ -251,7 +251,7 @@ class TestCallerState:
 
         x = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 2.0, 0.0, 3.0])
         with _parts(4, 2), pytest.raises(Marker) as err:
-            _flux_step(x, picky, 0.1, 1.0)
+            _flux_pass(picky, 0.1, 1.0)(x)
         assert err.value.args == (1,)
 
     def test_every_part_has_ended_when_the_caller_raises(self):
@@ -267,7 +267,7 @@ class TestCallerState:
 
         x = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 2.0, 0.0, 3.0])
         with _parts(4, 2), pytest.raises(Marker):
-            _flux_step(x, picky, 0.1, 1.0)
+            _flux_pass(picky, 0.1, 1.0)(x)
         # Each window asks for its samples and a halo of one on each side;
         # the pool's threads end in no fixed order.
         assert sorted(ended) == [3, 4, 4]
@@ -308,8 +308,8 @@ class TestForeignEvaluators:
         psi = make_role_function(FamilySpec(Family.CHARBONNIER), Role.REGULARISER)
         u, spec = Signal1D(x), EnergySpec(psi=psi, alpha=0.5)
         kernels = (
-            lambda: _flux_step(x, phi.evaluator, 0.1, 1.0),
-            lambda: _shift_invariant_values(x, translate(phi, Role.SHRINKAGE, CouplingParams(tau=0.25)).evaluator),
+            lambda: _flux_pass(phi.evaluator, 0.1, 1.0)(x),
+            lambda: _haar_pass(translate(phi, Role.SHRINKAGE, CouplingParams(tau=0.25)).evaluator)(x),
             lambda: euler_lagrange_residual(u, u, spec),
             lambda: _apply(ResidualBlock(w1=[0.0, -1.0, 1.0], sigma1=phi.evaluator, w2=[-0.1, 0.1, 0.0]), x),
             lambda: _apply(ResidualBlock(w1=[0.0, -1.0, 1.0], sigma1=relu, w2=[-0.1, 0.1, 0.0], sigma2=relu), x),
@@ -333,8 +333,8 @@ class TestForeignEvaluators:
         psi = user_role_function(Role.REGULARISER, seen(lambda r: r * r))
         u, spec = Signal1D(x), EnergySpec(psi=psi, alpha=0.5)
         kernels = (
-            lambda: _flux_step(x, seen(phi), 0.1, 1.0),
-            lambda: _shift_invariant_values(x, seen(phi)),
+            lambda: _flux_pass(seen(phi), 0.1, 1.0)(x),
+            lambda: _haar_pass(seen(phi))(x),
             lambda: euler_lagrange_residual(u, u, spec).values,
             lambda: _apply(ResidualBlock(w1=[0.0, -1.0, 1.0], sigma1=seen(phi), w2=[-0.1, 0.1, 0.0]), x),
             lambda: _apply(ResidualBlock(w1=[0.0, -1.0, 1.0], sigma1=phi, w2=[-0.1, 0.1, 0.0], sigma2=seen(relu)), x),
@@ -365,7 +365,7 @@ class TestNoHang:
         x = np.random.default_rng(3).uniform(-4.0, 4.0, 23)
         ev = ACTIVATIONS[3]
         with _parts(2, 4):
-            first = _flux_step(x, ev, 0.1, 1.0)
+            first = _flux_pass(ev, 0.1, 1.0)(x)
             assert diffusion._pool is not None
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DeprecationWarning)  # forking a threaded process
@@ -373,7 +373,7 @@ class TestNoHang:
             if pid == 0:
                 code = 3
                 try:
-                    again = _flux_step(x, ev, 0.1, 1.0)
+                    again = _flux_pass(ev, 0.1, 1.0)(x)
                     code = 0 if np.array_equal(again.view(np.int64), first.view(np.int64)) else 1
                 finally:
                     os._exit(code)
@@ -386,7 +386,7 @@ class TestNoHang:
             """
             import numpy as np
             from denoise1d import diffusion
-            from denoise1d.diffusion import _flux_step
+            from denoise1d.diffusion import _flux_pass
             from denoise1d.nonlinearities import _reentrant
 
             diffusion._CHUNK, diffusion._PART_WINDOWS = 4, 1
@@ -397,14 +397,14 @@ class TestNoHang:
 
             @_reentrant
             def nested(r):
-                inner = _flux_step(np.linspace(0.0, 1.0, 16) ** 2, tanh, 0.1, 1.0)
+                inner = _flux_pass(tanh, 0.1, 1.0)(np.linspace(0.0, 1.0, 16) ** 2)
                 return np.tanh(r) + 0.0 * inner[0]
 
             x = np.random.default_rng(4).uniform(-4.0, 4.0, 29)
             outs = []
             for workers in (1, 2, 3):
                 diffusion._WORKERS = workers
-                outs.append(_flux_step(x, nested, 0.1, 1.0))
+                outs.append(_flux_pass(nested, 0.1, 1.0)(x))
             assert all(np.array_equal(o.view(np.int64), outs[0].view(np.int64)) for o in outs)
             """
         )

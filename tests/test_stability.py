@@ -234,7 +234,7 @@ class TestSignStableRegime:
         phi = phi_of(family)
         rng = np.random.default_rng(zlib.crc32(family.value.encode()))
         tau = 0.25  # h = 1, g_max = 1 at unit family parameters
-        from denoise1d.diffusion import _flux_step
+        from denoise1d.diffusion import _flux_pass
         from denoise1d.stability import _count_sign_changes
 
         ev = phi.evaluator
@@ -244,7 +244,7 @@ class TestSignStableRegime:
             hi = float(np.max(x)) + 1e-12
             prev = _count_sign_changes(x)
             for _ in range(100):
-                x = _flux_step(x, ev, tau, 1.0)
+                x = _flux_pass(ev, tau, 1.0)(x)
                 cur = _count_sign_changes(x)
                 assert cur <= prev
                 prev = cur

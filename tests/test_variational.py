@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -152,6 +153,23 @@ class TestMinimizeByDiffusion:
         f = Signal1D([0.0, 1.0, 0.0])
         with pytest.raises(ValueError, match="m >= 4"):
             minimize_by_diffusion(f, tikhonov(2.0), 1)
+
+    def test_the_advised_step_count_runs_and_one_fewer_does_not(self):
+        # alpha/37 rounds one ulp above the bound, so the advice is m >= 38.
+        f = Signal1D(np.linspace(0.0, 1.0, 16) ** 2, h=0.1)
+        spec = tikhonov(0.18500000000000005)
+        with pytest.raises(ValueError, match=r"use m >= \d+$") as info:
+            minimize_by_diffusion(f, spec, 1)
+        m = int(re.search(r"use m >= (\d+)$", str(info.value)).group(1))
+        minimize_by_diffusion(f, spec, m)
+        with pytest.raises(ValueError, match="exceeds the stability bound"):
+            minimize_by_diffusion(f, spec, m - 1)
+
+    @pytest.mark.parametrize("h", (1e-200, 1e-160))
+    def test_a_bound_that_underflows_is_a_value_error(self, h):
+        f = Signal1D(np.linspace(0.0, 1.0, 16) ** 2, h=h)
+        with pytest.raises(ValueError, match="needs a step count that overflows float64"):
+            minimize_by_diffusion(f, tikhonov(0.18500000000000005), 1)
 
     def test_more_steps_get_closer_to_the_oracle(self):
         rng = np.random.default_rng(23)

@@ -32,9 +32,9 @@ from denoise1d import (
 )
 from denoise1d import diffusion
 from denoise1d.blocks import _apply
-from denoise1d.diffusion import _LIPSCHITZ_SAMPLES, _flux_step, _lipschitz
+from denoise1d.diffusion import _LIPSCHITZ_SAMPLES, _flux_pass, _lipschitz
 from denoise1d.nonlinearities import SQRT2
-from denoise1d.shrinkage import _shift_invariant_values
+from denoise1d.shrinkage import _haar_pass
 from denoise1d.signals import _fdiff
 
 CHUNKS = (1, 2, 3, 5)
@@ -142,14 +142,14 @@ class TestWindowEdges:
     )
     def test_flux_step(self, chunk, x, ev, tau, h):
         with _chunk(chunk):
-            out = _flux_step(x, ev, tau, h)
+            out = _flux_pass(ev, tau, h)(x)
         assert_bit_identical(out, _whole_flux_step(x, ev, tau, h))
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(CHUNKS), VALUES, st.sampled_from(SHRINKAGES))
     def test_shrinkage_step(self, chunk, x, ev):
         with _chunk(chunk):
-            out = _shift_invariant_values(x, ev)
+            out = _haar_pass(ev)(x)
         assert_bit_identical(out, _whole_shift_invariant_values(x, ev))
 
     @settings(max_examples=300, deadline=None)
@@ -181,7 +181,7 @@ class TestWindowEdges:
         rng = np.random.default_rng(zlib.crc32(family.value.encode()))
         x = rng.uniform(-4.0, 4.0, 3 * diffusion._CHUNK + 7)
         ev = make_role_function(FamilySpec(family), Role.ACTIVATION).evaluator
-        assert_bit_identical(_flux_step(x, ev, 0.1, 0.5), _whole_flux_step(x, ev, 0.1, 0.5))
+        assert_bit_identical(_flux_pass(ev, 0.1, 0.5)(x), _whole_flux_step(x, ev, 0.1, 0.5))
         block = ResidualBlock(
             w1=[0.5, 0.0, -1.0, 1.0, 0.25], sigma1=ev, w2=[-0.2, 0.2, 0.0], b1=rng.uniform(-1, 1, x.size)
         )
@@ -200,7 +200,7 @@ class TestOneCallPerWindow:
             return _offset(r)
 
         with _chunk(chunk):
-            _flux_step(np.linspace(0.0, 1.0, n) ** 2, counter, 0.1, 1.0)
+            _flux_pass(counter, 0.1, 1.0)(np.linspace(0.0, 1.0, n) ** 2)
         assert asked == sizes
 
 
