@@ -15,9 +15,10 @@ every long pass, ``diffusion._windowed``: each window reads its input
 with a halo of p1 + p2 samples (p the half-width of a stencil), trimmed
 to the ghosts each stencil needs, so sigma1 is evaluated on the window's
 inner values plus p2 on each side, never on one the whole block does
-not compute.  The windows run in parts on several threads only when
-sigma1 and sigma2 are both built by this package.  :func:`chain` runs
-one block after another through ``diffusion._run``.
+not compute, and writes its samples into the block's output.  The
+windows run in parts on several threads only when sigma1 and sigma2 are
+both built by this package.  :func:`chain` runs one block after another
+through ``diffusion._run``.
 """
 
 from __future__ import annotations
@@ -62,10 +63,12 @@ def _correlate(x, taps, p, left, right, edge):
     # ends.  Ghosts are edge-clamped (reflecting samples) or zero
     # (reflecting walls seen by a flux array), depending on ``edge``.
     m = x.size
-    xp = np.empty(left + m + right)
-    xp[left : left + m] = x
-    xp[:left] = x[0] if edge else 0.0
-    xp[left + m :] = x[-1] if edge else 0.0
+    xp = x
+    if left or right:  # a window inside the signal reads no ghost
+        xp = np.empty(left + m + right)
+        xp[left : left + m] = x
+        xp[:left] = x[0] if edge else 0.0
+        xp[left + m :] = x[-1] if edge else 0.0
     n = left + m + right - 2 * p
     out = None
     for j, kj in taps:
@@ -115,25 +118,26 @@ def _apply(block, x):
             raise ValueError(f"bias length {b.size} does not match signal length {x.size}")
     n, p1, p2 = x.size, block._p1, block._p2
     if n <= diffusion._CHUNK:
-        return np.asarray(_residual(block, x, p1, p1, p2, p2, block.b1, block.b2, x), dtype=np.float64)
+        return np.asarray(_residual(block, x, p1, p1, p2, p2, block.b1, block.b2, x, None), dtype=np.float64)
 
-    def step(a, b):
+    def step(a, b, out):
         # The outer stencil reads inner values over [a - p2, b + p2); those
         # in [lo, hi) lie in the signal and read x over [s, t) plus ghosts.
         lo, hi = max(a - p2, 0), min(b + p2, n)
         s, t = max(lo - p1, 0), min(hi + p1, n)
-        return _residual(
+        _residual(
             block, x[s:t], s - lo + p1, hi + p1 - t, lo - a + p2, b + p2 - hi,
-            block.b1[lo:hi], block.b2[a:b], x[a:b],
+            block.b1[lo:hi], block.b2[a:b], x[a:b], out,
         )
 
     return diffusion._windowed(x, step, block.sigma1, block.sigma2)
 
 
-def _residual(block, x_in, l1, r1, l2, r2, b1, b2, x_out):
-    # The block on one window: W1 reads x_in with l1 and r1 edge-clamped
-    # ghosts, W2 reads sigma1's values with l2 and r2 zero ghosts, and the
-    # skip connection adds x_out.  Empty biases are skipped.
+def _residual(block, x_in, l1, r1, l2, r2, b1, b2, x_out, out):
+    # The block on one window, into out (returned when out is None): W1
+    # reads x_in with l1 and r1 edge-clamped ghosts, W2 reads sigma1's values
+    # with l2 and r2 zero ghosts, and the skip connection adds x_out.  Empty
+    # biases and an identity sigma2 are skipped.
     inner = _correlate(x_in, block._taps1, block._p1, l1, r1, edge=True)
     if b1.size:
         inner += b1
@@ -141,7 +145,12 @@ def _residual(block, x_in, l1, r1, l2, r2, b1, b2, x_out):
     outer = _correlate(mid, block._taps2, block._p2, l2, r2, edge=False)
     if b2.size:
         outer += b2
-    return block.sigma2(x_out + outer)
+    if block.sigma2 is _identity:
+        return np.add(x_out, outer, out=outer if out is None else out)
+    outer += x_out
+    if out is None:
+        return block.sigma2(outer)
+    out[...] = block.sigma2(outer)
 
 
 def make_diffusion_block(phi: RoleFunction, tau: float, h: float) -> ResidualBlock:

@@ -24,8 +24,9 @@ than ``_CHUNK`` samples runs through the one window loop, ``_windowed``,
 so that each window's temporaries stay in cache; its windows run in up
 to ``_WORKERS`` contiguous parts of at least ``_PART_WINDOWS`` windows at
 once.  Each window reads a halo: the interface pass steps x[a-1:b+1]
-(clamped to the signal) as a whole array and keeps [a, b), so a seam's
-interface is evaluated by both windows beside it.  Only evaluators that
+(clamped to the signal) as a whole array and writes [a, b) straight into
+the pass's output, so a seam's interface is evaluated by both windows
+beside it.  Only evaluators that
 :mod:`.nonlinearities` builds run on several threads at once; a pass
 that calls any other runs in one part.
 """
@@ -220,50 +221,71 @@ def _run_parts(run, parts):
 
 
 def _windowed(x, step, *evaluators):
-    # The one window loop of a long pass: out[a:b] = step(a, b) for each
-    # window [a, b) of x, in the parts of _parts(x.size, *evaluators).
+    # The one window loop of a long pass: step(a, b, out[a:b]) writes each
+    # window [a, b) of its output, in the parts of _parts(x.size, *evaluators).
     out = np.empty_like(x)
 
     def run(windows):
         for a, b in windows:
-            out[a:b] = step(a, b)
+            step(a, b, out[a:b])
 
     _run_parts(run, _parts(x.size, *evaluators))
     return out
 
 
 def _interface_pass(h, interface, update, x):
-    # update(x, fd, v) on x, where v = interface(fd) holds the values at
-    # the samples' right interfaces and v[-1], the wall's, the one left of
-    # sample 0.  Past _CHUNK, each window [a, b) steps x[a-1:b+1] (clamped
-    # to x) that way and keeps [a, b).  x comes last, so that a partial of
-    # the rest is an array -> array step of _run.
+    # update(x, fd, v, keep, out) writes the samples ``keep`` of the step of
+    # x into out, or returns the whole step when out is None, where
+    # v = interface(fd) holds the values at the samples' right interfaces
+    # and v[-1], the wall's, the one left of sample 0.  Past _CHUNK, each
+    # window [a, b) steps x[a-1:b+1] (clamped to x) into out[a:b].  x comes
+    # last, so that a partial of the rest is an array -> array step of _run.
     if x.size <= _CHUNK:
         fd = _fdiff(x, h)
-        return update(x, fd, interface(fd))
+        return update(x, fd, interface(fd), ..., None)
 
-    def step(a, b):
+    def step(a, b, out):
         s = max(a - 1, 0)
         fd = _fdiff(x[s : b + 1], h)
-        return update(x[s : b + 1], fd, interface(fd))[a - s : b - s]
+        update(x[s : b + 1], fd, interface(fd), slice(a - s, b - s), out)
 
     return _windowed(x, step, interface)
 
 
-def _divergence(w, h):
+def _divergence(w, h, negated=False):
     # Flux difference around each sample: w holds the fluxes through the
     # samples' right interfaces, and w[-1], the wall's, that into the first.
+    # ``negated`` gives div(-w) as the reversed difference, bit for bit:
+    # IEEE (-a) - (-b) is b - a, signed zeros included.
     div = np.empty_like(w)
-    div[0] = w[0] - w[-1]
-    np.subtract(w[1:], w[:-1], out=div[1:])
+    if negated:
+        div[0] = w[-1] - w[0]
+        np.subtract(w[:-1], w[1:], out=div[1:])
+    else:
+        div[0] = w[0] - w[-1]
+        np.subtract(w[1:], w[:-1], out=div[1:])
     if h != 1.0:
         div /= h
     return div
 
 
+def _flux_update(tau, h):
+    # The explicit step's update: x + tau * div(w), scaled in place and
+    # added for the kept samples.
+    def update(x, fd, w, keep, out):
+        d = _divergence(w, h)
+        d *= tau
+        if out is None:
+            d += x
+            return d
+        return np.add(x[keep], d[keep], out=out)
+
+    return update
+
+
 def _flux_pass(ev, tau, h):
     # The explicit step as an array -> array step of _run.
-    return functools.partial(_interface_pass, h, ev, lambda x, fd, w: x + tau * _divergence(w, h))
+    return functools.partial(_interface_pass, h, ev, _flux_update(tau, h))
 
 
 def _run(x, steps):

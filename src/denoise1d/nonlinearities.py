@@ -236,7 +236,8 @@ def _truncated_tv_formulas(spec):
         return np.where(a <= th, 0.0, r - th * np.sign(r))
 
     def phi(r):
-        return np.where(np.abs(r) <= s2t, r, s2t * np.sign(r))
+        # r, clamped to [-s2t, s2t]; the array's clip skips np.clip's wrapper.
+        return r.clip(-s2t, s2t)
 
     return (g, psi, shrink, phi), (s2t, s2t, th, s2t)
 
@@ -244,17 +245,18 @@ def _truncated_tv_formulas(spec):
 def _perona_malik_formulas(spec):
     lam2 = spec.contrast * spec.contrast
 
+    # -r*r / c as r*r / -c: the same bits, with no negation pass.
     def g(r):
-        return np.exp(-r * r / (2.0 * lam2))
+        return np.exp(r * r / (-2.0 * lam2))
 
     def psi(r):
-        return 2.0 * lam2 * (1.0 - np.exp(-r * r / (2.0 * lam2)))
+        return 2.0 * lam2 * (1.0 - np.exp(r * r / (-2.0 * lam2)))
 
     def shrink(r):
-        return r * (1.0 - np.exp(-r * r / lam2))
+        return r * (1.0 - np.exp(r * r / -lam2))
 
     def phi(r):
-        return r * np.exp(-r * r / (2.0 * lam2))
+        return r * np.exp(r * r / (-2.0 * lam2))
 
     return (g, psi, shrink, phi), ()
 
@@ -469,7 +471,7 @@ def translate(f: RoleFunction, to: Role, coupling: CouplingParams = None) -> Rol
         (D, A): lambda r: e(r) * r,
         (R, D): lambda r: _ratio_with_limit(dpsi, r) / 2.0,
         (R, S): lambda r: r - SQRT2 * c * dpsi(SQRT2 * r),
-        (R, A): lambda r: dpsi(r) / 2.0,
+        (R, A): lambda r: dpsi(r) * 0.5,  # halving is exact: the bits of / 2.0
         (S, D): lambda r: (
             1.0 - _ratio_with_limit(lambda x: SQRT2 * e(x / SQRT2), r)
         ) / (4.0 * c),

@@ -33,7 +33,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .diffusion import _divergence, _interface_pass, _last, _run
+from .diffusion import _divergence, _flux_update, _interface_pass, _last, _run
 from .nonlinearities import SQRT2, Role, RoleFunction, _reentrant_if
 from .signals import Signal1D
 
@@ -60,14 +60,23 @@ def shrink_pair(a: float, b: float, shrink: RoleFunction):
     return (s - sw) / SQRT2, (s + sw) / SQRT2
 
 
-def _haar_update(x, fd, s):
+# u + div(fd)/4: the flux update of phi(r) = r at tau 1/4.
+_identity_step = _flux_update(0.25, 1.0)
+
+
+def _haar_update(x, fd, s, keep, out):
     # Closed form of the cycle-spun step as two flux divergences,
     #   u + div(fd)/4 + div(-s)/(2 sqrt2),  s = S(fd/sqrt2),
     # that is u + (fd - bd)/4 + (S(bd/sqrt2) - S(fd/sqrt2)) / (2 sqrt2) with
     # clamped differences: exactly the average of each sample's two pair
-    # reconstructions.  div(-s) is S(bd/sqrt2) - S(fd/sqrt2) bit for bit;
-    # subtracting div(s) would turn a 0.0 into -0.0 ([-5e-324, -0.0, 0.0]).
-    return x + 0.25 * _divergence(fd, 1.0) + _divergence(-s, 1.0) / (2.0 * SQRT2)
+    # reconstructions.  div(-s) is S(bd/sqrt2) - S(fd/sqrt2) bit for bit, with
+    # no negation of s; subtracting div(s) would turn a 0.0 into -0.0
+    # ([-5e-324, -0.0, 0.0]).
+    e = _divergence(s, 1.0, negated=True)
+    e /= 2.0 * SQRT2
+    out = _identity_step(x, fd, fd, keep, out)
+    out += e[keep]
+    return out
 
 
 def _haar_interface(ev):

@@ -64,9 +64,13 @@ class StabilityReport:
         ]
 
 
-def _count_sign_changes(x):
-    s = x[x != 0.0]
-    sg = np.sign(s)
+def _count_sign_changes(x, top=None):
+    # top is np.max(x), if the caller has it.  With no NaN and no zero (nor
+    # -0.0) the sign bits are the signs, and the zeros need no removing.
+    if not math.isnan(np.max(x) if top is None else top) and x.all():
+        sb = np.signbit(x)
+        return int(np.count_nonzero(sb[1:] != sb[:-1]))
+    sg = np.sign(x[x != 0.0])
     return int(np.count_nonzero(sg[1:] != sg[:-1]))
 
 
@@ -124,9 +128,9 @@ def _observe(f, states, L, tau, slack=1e-12):
     worst = 0.0
     x = f.values
     for k, x in enumerate(states, 1):
-        counts.append(_count_sign_changes(x))
         top = float(np.max(x))
         bottom = float(np.min(x))
+        counts.append(_count_sign_changes(x, top))
         # Masks only for a state out of range while the record has room;
         # the negations catch NaN.
         room = _MAX_RECORDED_VIOLATIONS - len(violations)
@@ -146,7 +150,7 @@ def _observe(f, states, L, tau, slack=1e-12):
         steps=len(counts),
         range_ok=worst <= slack,
         worst_overshoot=worst,
-        sign_changes_in=_count_sign_changes(f.values),
+        sign_changes_in=_count_sign_changes(f.values, hi),
         sign_changes_per_step=counts,
         violations=violations,
     )

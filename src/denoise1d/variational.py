@@ -61,7 +61,12 @@ def discrete_energy(u: Signal1D, f: Signal1D, spec: EnergySpec) -> float:
 def _divergence_of(u, spec):
     # div(psi'(fd u)/2): the interface pass with the divergence as update.
     ev = translate(spec.psi, Role.ACTIVATION).evaluator
-    return _interface_pass(u.h, ev, lambda x, fd, w: _divergence(w, u.h), u.values)
+
+    def update(x, fd, w, keep, out):
+        d = _divergence(w, u.h)
+        return d if out is None else np.copyto(out, d[keep])
+
+    return _interface_pass(u.h, ev, update, u.values)
 
 
 def euler_lagrange_residual(u: Signal1D, f: Signal1D, spec: EnergySpec) -> Signal1D:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from denoise1d import (
     CouplingParams,
@@ -16,6 +18,7 @@ from denoise1d import (
     translate,
     user_role_function,
 )
+from denoise1d.nonlinearities import central_derivative
 
 SQRT2 = math.sqrt(2.0)
 
@@ -322,3 +325,99 @@ class TestDictionaryRules:
         assert out.breakpoints == tuple(map(scale, f.breakpoints))
         with pytest.raises(ValueError, match=f"^translation requires coupling.{name}$"):
             translate(f, dst)
+
+
+# The formulas as they were before they took their cheapest exact form,
+# verbatim.
+
+
+def _old_truncated_tv_phi(spec):
+    s2t = SQRT2 * spec.threshold
+
+    def phi(r):
+        return np.where(np.abs(r) <= s2t, r, s2t * np.sign(r))
+
+    return phi
+
+
+def _old_perona_malik(spec):
+    lam2 = spec.contrast * spec.contrast
+
+    def g(r):
+        return np.exp(-r * r / (2.0 * lam2))
+
+    def psi(r):
+        return 2.0 * lam2 * (1.0 - np.exp(-r * r / (2.0 * lam2)))
+
+    def shrink(r):
+        return r * (1.0 - np.exp(-r * r / lam2))
+
+    def phi(r):
+        return r * np.exp(-r * r / (2.0 * lam2))
+
+    return g, psi, shrink, phi
+
+
+def _old_regulariser_to_activation(psi):
+    e = psi.evaluator
+    dpsi = psi.derivative or (lambda r: central_derivative(e, r))
+    return lambda r: dpsi(r) / 2.0
+
+
+def _rewritten_pairs(spec):
+    # (new, old) evaluator pairs of every rewritten formula of spec's family.
+    pairs = []
+    if spec.family is Family.TRUNCATED_TV:
+        pairs.append((make_role_function(spec, Role.ACTIVATION).evaluator, _old_truncated_tv_phi(spec)))
+    if spec.family is Family.PERONA_MALIK:
+        pairs += [(make_role_function(spec, role).evaluator, old)
+                  for role, old in zip(ALL_ROLES, _old_perona_malik(spec))]
+    for psi in (make_role_function(spec, Role.REGULARISER),
+                user_role_function(Role.REGULARISER, make_role_function(spec, Role.REGULARISER).evaluator)):
+        pairs.append((translate(psi, Role.ACTIVATION).evaluator, _old_regulariser_to_activation(psi)))
+    return pairs
+
+
+# Past the pinned grid: both infinities, the largest and the smallest
+# magnitudes and both zeros.
+EDGES = np.array([np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0])
+SPECS = tuple(FamilySpec(f, contrast=c, threshold=c) for f in ALL_FAMILIES for c in (1.0, 0.3, 7.0))
+FLOATS = st.lists(st.floats(width=64, allow_nan=False), min_size=1, max_size=64)
+
+
+def _assert_same_bits(new, old, r):
+    with np.errstate(all="ignore"):
+        got, want = new(r), old(r)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+class TestCheapestExactForms:
+    """The TV clamp, the Perona-Malik quotient with its sign in the divisor
+    and the halving regulariser -> activation cell give the bits of the
+    formulas they replaced."""
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label())
+    def test_on_the_grid_and_its_edges(self, spec):
+        r = np.concatenate([GRID, EDGES])
+        for new, old in _rewritten_pairs(spec):
+            _assert_same_bits(new, old, r)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=FLOATS, family=st.sampled_from(ALL_FAMILIES), p=st.floats(1e-3, 1e3))
+    def test_on_any_floats(self, values, family, p):
+        r = np.array(values, dtype=np.float64)
+        for new, old in _rewritten_pairs(FamilySpec(family, contrast=p, threshold=p)):
+            _assert_same_bits(new, old, r)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label())
+    def test_nan_maps_to_nan(self, spec):
+        """Where the old formula gave NaN: every rewritten TV and
+        Perona-Malik formula (the truncated BFB and quadratic activations
+        map NaN to a number, and so does their psi'/2)."""
+        r = np.array([np.nan, -np.nan, 1.0, np.nan])
+        for new, old in _rewritten_pairs(spec):
+            with np.errstate(all="ignore"):
+                got, want = new(r), old(r)
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            if spec.family in (Family.TRUNCATED_TV, Family.PERONA_MALIK):
+                assert np.isnan(got[[0, 1, 3]]).all() and not np.isnan(got[2])

@@ -3,6 +3,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from denoise1d import (
     Family,
@@ -17,7 +19,7 @@ from denoise1d import (
 )
 from denoise1d import stability
 from denoise1d.diffusion import _states
-from denoise1d.stability import _MAX_RECORDED_VIOLATIONS, _observe
+from denoise1d.stability import _MAX_RECORDED_VIOLATIONS, _count_sign_changes, _observe
 
 ALL_FAMILIES = tuple(Family)
 
@@ -49,6 +51,52 @@ class TestCountSignChanges:
             c = count_sign_changes(Signal1D(x))
             assert count_sign_changes(Signal1D(-x)) == c
             assert count_sign_changes(Signal1D(3.5 * x)) == c
+
+
+def _count_with_the_copy(x):
+    # The count as it was before zero-free states skipped the copy, verbatim.
+    s = x[x != 0.0]
+    sg = np.sign(s)
+    return int(np.count_nonzero(sg[1:] != sg[:-1]))
+
+
+SPECIAL = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308, -1e308)
+SAMPLES = st.lists(st.one_of(st.floats(width=64), st.sampled_from(SPECIAL)), min_size=1, max_size=40)
+
+
+class TestSignCountWithoutTheCopy:
+    """Zero-free, NaN-free states count sign bits; the rest count as before."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(SAMPLES)
+    def test_matches_the_count_with_the_copy(self, values):
+        x = np.array(values, dtype=np.float64)
+        want = _count_with_the_copy(x)
+        assert _count_sign_changes(x) == want
+        assert _count_sign_changes(x, float(np.max(x))) == want
+        if np.isfinite(x).all():
+            assert count_sign_changes(Signal1D(x)) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from(SPECIAL), min_size=1, max_size=12))
+    def test_matches_on_special_values_alone(self, values):
+        x = np.array(values, dtype=np.float64)
+        assert _count_sign_changes(x) == _count_with_the_copy(x)
+
+    @pytest.mark.parametrize("x", [[0.0] * 5, [-0.0, 0.0, -0.0], [1.0, -0.0, -1.0], [math.nan, 1.0, -1.0],
+                                   [-math.inf, math.inf, 2.0, -3.0], [7.0]])
+    def test_edge_states(self, x):
+        x = np.array(x)
+        assert _count_sign_changes(x) == _count_with_the_copy(x)
+
+    def test_observe_counts_every_state_alike(self):
+        rng = np.random.default_rng(43)
+        f = Signal1D(rng.normal(size=64))
+        states = [rng.normal(size=64), np.where(rng.random(64) < 0.3, 0.0, rng.normal(size=64)),
+                  np.full(64, np.nan), np.zeros(64)]
+        report = _observe(f, states, 1.0, 0.1)[0]
+        assert report.sign_changes_in == _count_with_the_copy(f.values)
+        assert report.sign_changes_per_step == [_count_with_the_copy(x) for x in states]
 
 
 class TestRangePreservation:

@@ -9,6 +9,7 @@ patterns, so signed zeros count.
 """
 
 import math
+import tracemalloc
 import zlib
 from unittest import mock
 
@@ -19,12 +20,14 @@ from hypothesis import strategies as st
 
 from denoise1d import (
     CouplingParams,
+    EnergySpec,
     Family,
     FamilySpec,
     ResidualBlock,
     Role,
     Signal1D,
     estimate_lipschitz,
+    make_diffusion_block,
     make_role_function,
     relu,
     translate,
@@ -36,6 +39,7 @@ from denoise1d.diffusion import _LIPSCHITZ_SAMPLES, _flux_pass, _lipschitz
 from denoise1d.nonlinearities import SQRT2
 from denoise1d.shrinkage import _haar_pass
 from denoise1d.signals import _fdiff
+from denoise1d.variational import _divergence_of
 
 CHUNKS = (1, 2, 3, 5)
 
@@ -220,3 +224,44 @@ class TestGradientRange:
         f = Signal1D([0.0, 0.0, 1e308, -1e308, 0.0])
         with _chunk(chunk), pytest.raises(ValueError, match="overflow"):
             _lipschitz(phi, f)
+
+
+def _passes(family):
+    # One flux, Haar, block and divergence pass of a closed-form family.
+    spec = FamilySpec(family)
+    phi = make_role_function(spec, Role.ACTIVATION)
+    shrink = translate(phi, Role.SHRINKAGE, CouplingParams(tau=0.25)).evaluator
+    energy = EnergySpec(make_role_function(spec, Role.REGULARISER), 0.3)
+    block = make_diffusion_block(phi, 0.2, 1.0)
+    return {
+        "flux": lambda x: _flux_pass(phi.evaluator, 0.2, 1.0)(x),
+        "haar": lambda x: _haar_pass(shrink)(x),
+        "block": lambda x: _apply(block, x),
+        "divergence": lambda x: _divergence_of(Signal1D._wrap(x, 1.0), energy),
+    }
+
+
+class TestMemory:
+    """A long pass holds its output and window-sized temporaries, no
+    whole-length temporary: at N = 2^20 (8 MiB per array) the traced peak
+    is at most the output plus 2 MiB for each part running at once."""
+
+    N = 1 << 20
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("family", tuple(Family), ids=lambda f: f.value)
+    def test_no_whole_length_temporary(self, family, workers):
+        x = np.random.default_rng(3).normal(0.0, 0.1, self.N)
+        x.setflags(write=False)
+        with mock.patch.object(diffusion, "_WORKERS", workers):
+            assert len(diffusion._parts(self.N)) == workers
+            for name, run in _passes(family).items():
+                run(x)  # any lazy set-up (the pool's threads) before tracing
+                tracemalloc.start()
+                try:
+                    out = run(x)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert out.nbytes == 8 * self.N
+                assert peak <= out.nbytes + workers * (2 << 20), (name, peak)
