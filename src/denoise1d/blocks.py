@@ -118,7 +118,9 @@ def _apply(block, x):
             raise ValueError(f"bias length {b.size} does not match signal length {x.size}")
     n, p1, p2 = x.size, block._p1, block._p2
     if n <= diffusion._CHUNK:
-        return np.asarray(_residual(block, x, p1, p1, p2, p2, block.b1, block.b2, x, None), dtype=np.float64)
+        out = np.empty_like(x)
+        _residual(block, x, p1, p1, p2, p2, block.b1, block.b2, x, out)
+        return out
 
     def step(a, b, out):
         # The outer stencil reads inner values over [a - p2, b + p2); those
@@ -134,22 +136,18 @@ def _apply(block, x):
 
 
 def _residual(block, x_in, l1, r1, l2, r2, b1, b2, x_out, out):
-    # The block on one window, into out (returned when out is None): W1
-    # reads x_in with l1 and r1 edge-clamped ghosts, W2 reads sigma1's values
-    # with l2 and r2 zero ghosts, and the skip connection adds x_out.  Empty
-    # biases and an identity sigma2 are skipped.
+    # The block on one window, into out: W1 reads x_in with l1 and r1
+    # edge-clamped ghosts, W2 reads sigma1's values, as float64, with l2 and
+    # r2 zero ghosts, and the skip connection adds x_out.  Empty biases are
+    # skipped.
     inner = _correlate(x_in, block._taps1, block._p1, l1, r1, edge=True)
     if b1.size:
         inner += b1
-    mid = block.sigma1(inner)
+    mid = np.asarray(block.sigma1(inner), dtype=np.float64)
     outer = _correlate(mid, block._taps2, block._p2, l2, r2, edge=False)
     if b2.size:
         outer += b2
-    if block.sigma2 is _identity:
-        return np.add(x_out, outer, out=outer if out is None else out)
     outer += x_out
-    if out is None:
-        return block.sigma2(outer)
     out[...] = block.sigma2(outer)
 
 

@@ -26,9 +26,8 @@ to ``_WORKERS`` contiguous parts of at least ``_PART_WINDOWS`` windows at
 once.  Each window reads a halo: the interface pass steps x[a-1:b+1]
 (clamped to the signal) as a whole array and writes [a, b) straight into
 the pass's output, so a seam's interface is evaluated by both windows
-beside it.  Only evaluators that
-:mod:`.nonlinearities` builds run on several threads at once; a pass
-that calls any other runs in one part.
+beside it.  Only evaluators that :mod:`.nonlinearities` builds run on
+several threads at once; a pass that calls any other runs in one part.
 """
 
 from __future__ import annotations
@@ -235,14 +234,16 @@ def _windowed(x, step, *evaluators):
 
 def _interface_pass(h, interface, update, x):
     # update(x, fd, v, keep, out) writes the samples ``keep`` of the step of
-    # x into out, or returns the whole step when out is None, where
-    # v = interface(fd) holds the values at the samples' right interfaces
-    # and v[-1], the wall's, the one left of sample 0.  Past _CHUNK, each
-    # window [a, b) steps x[a-1:b+1] (clamped to x) into out[a:b].  x comes
-    # last, so that a partial of the rest is an array -> array step of _run.
+    # x into out, where v = interface(fd) holds the values at the samples'
+    # right interfaces and v[-1], the wall's, the one left of sample 0.
+    # Past _CHUNK, each window [a, b) steps x[a-1:b+1] (clamped to x) into
+    # out[a:b].  x comes last, so that a partial of the rest is an
+    # array -> array step of _run.
     if x.size <= _CHUNK:
+        out = np.empty_like(x)
         fd = _fdiff(x, h)
-        return update(x, fd, interface(fd), ..., None)
+        update(x, fd, interface(fd), ..., out)
+        return out
 
     def step(a, b, out):
         s = max(a - 1, 0)
@@ -256,8 +257,9 @@ def _divergence(w, h, negated=False):
     # Flux difference around each sample: w holds the fluxes through the
     # samples' right interfaces, and w[-1], the wall's, that into the first.
     # ``negated`` gives div(-w) as the reversed difference, bit for bit:
-    # IEEE (-a) - (-b) is b - a, signed zeros included.
-    div = np.empty_like(w)
+    # IEEE (-a) - (-b) is b - a, signed zeros included.  It has w's dtype
+    # when that is a float, so that it scales in place; float64 otherwise.
+    div = np.empty_like(w, dtype=None if w.dtype.kind == "f" else np.float64)
     if negated:
         div[0] = w[-1] - w[0]
         np.subtract(w[:-1], w[1:], out=div[1:])
@@ -275,10 +277,7 @@ def _flux_update(tau, h):
     def update(x, fd, w, keep, out):
         d = _divergence(w, h)
         d *= tau
-        if out is None:
-            d += x
-            return d
-        return np.add(x[keep], d[keep], out=out)
+        np.add(x[keep], d[keep], out=out)
 
     return update
 

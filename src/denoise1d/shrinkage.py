@@ -74,9 +74,8 @@ def _haar_update(x, fd, s, keep, out):
     # ([-5e-324, -0.0, 0.0]).
     e = _divergence(s, 1.0, negated=True)
     e /= 2.0 * SQRT2
-    out = _identity_step(x, fd, fd, keep, out)
+    _identity_step(x, fd, fd, keep, out)
     out += e[keep]
-    return out
 
 
 def _haar_interface(ev):

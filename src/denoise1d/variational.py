@@ -63,8 +63,7 @@ def _divergence_of(u, spec):
     ev = translate(spec.psi, Role.ACTIVATION).evaluator
 
     def update(x, fd, w, keep, out):
-        d = _divergence(w, u.h)
-        return d if out is None else np.copyto(out, d[keep])
+        np.copyto(out, _divergence(w, u.h)[keep])
 
     return _interface_pass(u.h, ev, update, u.values)
 

@@ -25,8 +25,10 @@ from denoise1d import (
     FamilySpec,
     ResidualBlock,
     Role,
+    RoleFunction,
     Signal1D,
     estimate_lipschitz,
+    euler_lagrange_residual,
     make_diffusion_block,
     make_role_function,
     relu,
@@ -265,3 +267,73 @@ class TestMemory:
                     tracemalloc.stop()
                 assert out.nbytes == 8 * self.N
                 assert peak <= out.nbytes + workers * (2 << 20), (name, peak)
+
+
+# -- evaluators that return another dtype ---------------------------------------
+
+
+def _in_float32(r):
+    return np.tanh(r).astype(np.float32)
+
+
+def _in_integers(r):
+    return np.rint(4.0 * r).astype(np.int64)
+
+
+def _divergence_in_dtype(w, h):
+    # The divergence in the evaluator's own dtype, as the kernels took it
+    # when every step returned x + tau * div(w).
+    div = np.empty_like(w)
+    div[0] = w[0] - w[-1]
+    np.subtract(w[1:], w[:-1], out=div[1:])
+    if h != 1.0:
+        div /= h
+    return div
+
+
+class TestEvaluatorDtypes:
+    """``RoleFunction.evaluator`` need only return arrays.  A float32 or
+    integer evaluator gives the same float64 output at every length: its
+    divergence is taken in its own dtype (float64 for integers) and the
+    step is added in float64, and sigma1's values are correlated as
+    float64, in one window as in many."""
+
+    SIZES = (16, 2 * diffusion._CHUNK + 5)
+    CASES = [(_in_float32, 1.0), (_in_float32, 0.5), (_in_integers, 1.0)]
+
+    @staticmethod
+    def _signal(n):
+        return np.random.default_rng(n).normal(0.0, 0.3, n)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("ev, h", CASES)
+    def test_flux_step(self, n, ev, h):
+        x = self._signal(n)
+        expected = x + 0.1 * _divergence_in_dtype(ev(_fdiff(x, h)), h)
+        assert_bit_identical(_flux_pass(ev, 0.1, h)(x), expected)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("ev", (_in_float32, _in_integers))
+    def test_shrinkage_step(self, n, ev):
+        x = self._signal(n)
+        fd = _fdiff(x, 1.0)
+        s = ev(fd / SQRT2)
+        expected = x + 0.25 * _divergence_in_dtype(fd, 1.0) + _divergence_in_dtype(-s, 1.0) / (2.0 * SQRT2)
+        assert_bit_identical(_haar_pass(ev)(x), expected)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("ev", (_in_float32, _in_integers))
+    def test_block(self, n, ev):
+        x = self._signal(n)
+        block = ResidualBlock(w1=[0.5, 0.0, -1.0, 1.0, 0.25], sigma1=ev, w2=[-0.2, 0.2, 0.3], sigma2=ev)
+        assert_bit_identical(_apply(block, x), _whole_apply(block, x))
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("ev, h", CASES)
+    def test_euler_lagrange_residual(self, n, ev, h):
+        x, f = self._signal(n), self._signal(n + 1)[:n]
+        psi = RoleFunction(role=Role.REGULARISER, evaluator=lambda r: r * r, derivative=lambda r: ev(r) * 2)
+        w = translate(psi, Role.ACTIVATION).evaluator(_fdiff(x, h))
+        expected = (x - f) / 0.3 - _divergence_in_dtype(w, h)
+        out = euler_lagrange_residual(Signal1D(x, h), Signal1D(f, h), EnergySpec(psi, 0.3))
+        assert_bit_identical(out.values, expected)
