@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nonlinearities import Role, RoleFunction, _is_reentrant, estimate_lipschitz
+from .nonlinearities import Role, RoleFunction, _is_reentrant, _largest_magnitude, estimate_lipschitz
 from .signals import Signal1D, _fdiff
 
 _LIPSCHITZ_SAMPLES = 200_001
@@ -326,7 +326,7 @@ def _lipschitz(phi, f):
     # Under an admissible step the gradients cannot leave this range.
     x = f.values
     with np.errstate(over="ignore"):
-        r = 2.0 * max(float(np.max(np.abs(_fdiff(x[a : b + 1], f.h)))) for a, b in _windows(x.size))
+        r = 2.0 * max(float(_largest_magnitude(_fdiff(x[a : b + 1], f.h))) for a, b in _windows(x.size))
     if not math.isfinite(2.0 * r):  # the span of the grid on [-r, r]
         raise ValueError("the input's gradients overflow float64; rescale the signal")
     return estimate_lipschitz(phi, r if r > 0.0 else 1.0, _LIPSCHITZ_SAMPLES)

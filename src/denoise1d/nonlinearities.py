@@ -19,7 +19,9 @@ into.  This module provides
 
 The evaluators built here are numpy-vectorised, pure and reentrant, and
 the step kernels call them from several threads at once, on different
-windows of a long signal.  Any other evaluator, a user's or a wrapper
+windows of a long signal.  Each closed form, and each cell that starts
+from a transform of its argument, computes into one float64 array of
+its own, bit for bit the operator form (see ``_scratch``).  Any other evaluator, a user's or a wrapper
 around one built here, is called on the caller's thread only.
 """
 
@@ -192,6 +194,43 @@ def user_role_function(role, func, name="user-supplied"):
 # ---------------------------------------------------------------------------
 
 
+_F64 = np.dtype(np.float64)
+
+
+def _scratch(t, v=None):
+    # The array a formula writes the ufuncs after its first into: t, the
+    # fresh float64 array that first ufunc returned (or a cell's transform
+    # of its argument), when the array v it is combined with, if any, is a
+    # float64 array of t's shape too.  Otherwise None, so that each ufunc
+    # returns a new result, as the operators do: for the numpy scalar a
+    # ufunc returns for 0-d operands, and for any other dtype, whose
+    # results written into t could change dtype or precision.
+    if type(t) is np.ndarray and t.ndim and t.dtype is _F64:
+        if v is None or (type(v) is np.ndarray and v.dtype is _F64 and v.shape == t.shape):
+            return t
+    return None
+
+
+def _where(c, x, y, o):
+    # np.where(c, x, y); into o, when the formula has one: y, unless it
+    # is o already, then x where c holds.
+    if o is None:
+        return np.where(c, x, y)
+    if y is not o:
+        np.copyto(o, y)
+    np.copyto(o, x, where=c)
+    return o
+
+
+def _where_square(c, r, y, o):
+    # np.where(c, r * r, y); into o, r * r only where c holds.
+    if o is None:
+        return np.where(c, r * r, y)
+    if y is not o:
+        np.copyto(o, y)
+    return np.multiply(r, r, out=o, where=c)
+
+
 def _constant_formulas(spec):
     return (
         lambda r: np.ones_like(r),
@@ -201,20 +240,39 @@ def _constant_formulas(spec):
     ), ()
 
 
+# Every formula below writes each ufunc after its first into the array
+# that one returned (see _scratch).  Its arithmetic is the operator
+# form's, operand for operand; a selection np.where(c, x, y) becomes a
+# copy of x into y where c holds (_where).
+
+
 def _charbonnier_formulas(spec):
     lam2 = spec.contrast * spec.contrast
 
-    def g(r):
-        return 1.0 / np.sqrt(1.0 + r * r / lam2)
+    def root(t, o):
+        # sqrt(1 + t / lam2), into o.
+        return np.sqrt(np.add(1.0, np.divide(t, lam2, out=o), out=o), out=o)
 
-    def psi(r):
-        return 2.0 * lam2 * (np.sqrt(1.0 + r * r / lam2) - 1.0)
+    def g(r):  # 1 / sqrt(1 + r*r / lam2)
+        t = r * r
+        o = _scratch(t)
+        return np.divide(1.0, root(t, o), out=o)
 
-    def shrink(r):
-        return r * (1.0 - 1.0 / np.sqrt(1.0 + 2.0 * r * r / lam2))
+    def psi(r):  # 2 lam2 (sqrt(1 + r*r / lam2) - 1)
+        t = r * r
+        o = _scratch(t)
+        return np.multiply(2.0 * lam2, np.subtract(root(t, o), 1.0, out=o), out=o)
 
-    def phi(r):
-        return r / np.sqrt(1.0 + r * r / lam2)
+    def shrink(r):  # r (1 - 1 / sqrt(1 + 2 r*r / lam2))
+        t = 2.0 * r
+        o = _scratch(t)
+        t = np.divide(1.0, root(np.multiply(t, r, out=o), o), out=o)
+        return np.multiply(r, np.subtract(1.0, t, out=o), out=o)
+
+    def phi(r):  # r / sqrt(1 + r*r / lam2)
+        t = r * r
+        o = _scratch(t)
+        return np.divide(r, root(t, o), out=o)
 
     return (g, psi, shrink, phi), ()
 
@@ -223,17 +281,26 @@ def _truncated_tv_formulas(spec):
     th = spec.threshold
     s2t = SQRT2 * th
 
-    def g(r):
+    def g(r):  # 1 for |r| <= s2t, else s2t / |r|
         a = np.abs(r)
-        return np.where(a <= s2t, 1.0, s2t / np.where(a > s2t, a, 1.0))
+        o = _scratch(a)
+        lo = a <= s2t
+        safe = _where(~(a > s2t), 1.0, a, o)
+        return _where(lo, 1.0, np.divide(s2t, safe, out=o), o)
 
-    def psi(r):
+    def psi(r):  # r*r for |r| <= s2t, else 2 th (sqrt2 |r| - th)
         a = np.abs(r)
-        return np.where(a <= s2t, r * r, 2.0 * th * (SQRT2 * a - th))
+        o = _scratch(a)
+        lo = a <= s2t
+        t = np.subtract(np.multiply(SQRT2, a, out=o), th, out=o)
+        return _where_square(lo, r, np.multiply(2.0 * th, t, out=o), o)
 
-    def shrink(r):
+    def shrink(r):  # 0 for |r| <= th, else r - th sign(r)
         a = np.abs(r)
-        return np.where(a <= th, 0.0, r - th * np.sign(r))
+        o = _scratch(a)
+        lo = a <= th
+        t = np.multiply(th, np.sign(r, out=o), out=o)
+        return _where(lo, 0.0, np.subtract(r, t, out=o), o)
 
     def phi(r):
         # r, clamped to [-s2t, s2t]; the array's clip skips np.clip's wrapper.
@@ -246,17 +313,26 @@ def _perona_malik_formulas(spec):
     lam2 = spec.contrast * spec.contrast
 
     # -r*r / c as r*r / -c: the same bits, with no negation pass.
+    def gauss(r, c):
+        # exp(r*r / c), and the array the formula writes into.
+        t = r * r
+        o = _scratch(t)
+        return np.exp(np.divide(t, c, out=o), out=o), o
+
     def g(r):
-        return np.exp(r * r / (-2.0 * lam2))
+        return gauss(r, -2.0 * lam2)[0]
 
-    def psi(r):
-        return 2.0 * lam2 * (1.0 - np.exp(r * r / (-2.0 * lam2)))
+    def psi(r):  # 2 lam2 (1 - exp(-r*r / (2 lam2)))
+        t, o = gauss(r, -2.0 * lam2)
+        return np.multiply(2.0 * lam2, np.subtract(1.0, t, out=o), out=o)
 
-    def shrink(r):
-        return r * (1.0 - np.exp(r * r / -lam2))
+    def shrink(r):  # r (1 - exp(-r*r / lam2))
+        t, o = gauss(r, -lam2)
+        return np.multiply(r, np.subtract(1.0, t, out=o), out=o)
 
-    def phi(r):
-        return r * np.exp(r * r / (-2.0 * lam2))
+    def phi(r):  # r exp(-r*r / (2 lam2))
+        t, o = gauss(r, -2.0 * lam2)
+        return np.multiply(r, t, out=o)
 
     return (g, psi, shrink, phi), ()
 
@@ -266,25 +342,39 @@ def _truncated_bfb_formulas(spec):
     th2 = th * th
     s2t = SQRT2 * th
 
-    def g(r):
-        a = np.abs(r)
-        safe = np.where(a > s2t, r, 1.0)
-        return np.where(a <= s2t, 1.0, 2.0 * th2 / (safe * safe))
+    # safe is r where |r| is past the breakpoint and 1.0 elsewhere (NaN
+    # included); copysign(|r|, r) is r, bit for bit.
 
-    def psi(r):
+    def g(r):  # 1 for |r| <= s2t, else 2 th^2 / (r*r)
         a = np.abs(r)
-        safe = np.where(a > s2t, r * r / (2.0 * th2), 1.0)
-        return np.where(a <= s2t, r * r, 2.0 * th2 * (np.log(safe) + 1.0))
+        o = _scratch(a)
+        lo = a <= s2t
+        t = _where(~(a > s2t), 1.0, a, o)  # |safe|, whose square is safe's
+        t = np.divide(2.0 * th2, np.multiply(t, t, out=o), out=o)
+        return _where(lo, 1.0, t, o)
 
-    def shrink(r):
+    def psi(r):  # r*r for |r| <= s2t, else 2 th^2 (log(r*r / (2 th^2)) + 1)
         a = np.abs(r)
-        safe = np.where(a > th, r, 1.0)
-        return np.where(a <= th, 0.0, r - th2 / safe)
+        o = _scratch(a)
+        lo, rest = a <= s2t, ~(a > s2t)
+        t = np.divide(np.multiply(a, a, out=o), 2.0 * th2, out=o)  # a*a is r*r
+        t = np.add(np.log(_where(rest, 1.0, t, o), out=o), 1.0, out=o)
+        return _where_square(lo, r, np.multiply(2.0 * th2, t, out=o), o)
 
-    def phi(r):
+    def shrink(r):  # 0 for |r| <= th, else r - th^2 / r
         a = np.abs(r)
-        safe = np.where(a > s2t, r, 1.0)
-        return np.where(a <= s2t, r, 2.0 * th2 / safe)
+        o = _scratch(a)
+        lo, rest = a <= th, ~(a > th)
+        safe = _where(rest, 1.0, np.copysign(a, r, out=o), o)
+        t = np.subtract(r, np.divide(th2, safe, out=o), out=o)
+        return _where(lo, 0.0, t, o)
+
+    def phi(r):  # 2 th^2 / r for |r| > s2t, else r (NaN included)
+        a = np.abs(r)
+        o = _scratch(a)
+        rest = ~(a > s2t)
+        safe = _where(rest, 1.0, np.copysign(a, r, out=o), o)
+        return _where(rest, r, np.divide(2.0 * th2, safe, out=o), o)
 
     return (g, psi, shrink, phi), (s2t, s2t, th, s2t)
 
@@ -294,16 +384,20 @@ def _truncated_quadratic_formulas(spec):
     s2t = SQRT2 * th
 
     def g(r):
-        return np.where(np.abs(r) <= s2t, 1.0, 0.0)
+        a = np.abs(r)
+        return _where(a <= s2t, 1.0, 0.0, _scratch(a))
 
     def psi(r):
-        return np.where(np.abs(r) <= s2t, r * r, 2.0 * th * th)
+        a = np.abs(r)
+        return _where_square(a <= s2t, r, 2.0 * th * th, _scratch(a))
 
     def shrink(r):
-        return np.where(np.abs(r) <= th, 0.0, r)
+        a = np.abs(r)
+        return _where(a <= th, 0.0, r, _scratch(a))
 
-    def phi(r):
-        return np.where(np.abs(r) <= s2t, r, 0.0)
+    def phi(r):  # 0 for |r| > s2t, else r (NaN included)
+        a = np.abs(r)
+        return _where(a > s2t, 0.0, r, _scratch(a))
 
     return (g, psi, shrink, phi), (s2t, s2t, th, s2t)
 
@@ -332,9 +426,18 @@ def make_role_function(spec: FamilySpec, role: Role) -> RoleFunction:
         role=role,
         evaluator=_reentrant(formulas[i]),
         provenance=(f"closed-form:{spec.label()}", role.value),
-        derivative=_reentrant(lambda r: 2.0 * phi(r)) if role is Role.REGULARISER else None,
+        derivative=_reentrant(_doubled(phi)) if role is Role.REGULARISER else None,
         breakpoints=breaks[i : i + 1],
     )
+
+
+def _doubled(phi):
+    # psi' = 2 phi, doubling phi's fresh result in place.
+    def dpsi(r):
+        v = phi(r)
+        return np.multiply(2.0, v, out=_scratch(v))
+
+    return dpsi
 
 
 def eval_family(spec: FamilySpec, role: Role, r):
@@ -410,6 +513,24 @@ def _ratio_with_limit(numer, r):
 # ---------------------------------------------------------------------------
 
 
+def _minus_scaled(r, k, ev, t):
+    # r - k * ev(t), written into t, the cell's own transform of r, when
+    # ev's result suits it (see _scratch); never into that result.
+    v = ev(t)
+    o = _scratch(t, v)
+    return np.subtract(r, np.multiply(k, v, out=o), out=o)
+
+
+def _times(r, w):
+    # r * w, into w, the cell's own array, when r suits it.
+    return np.multiply(r, w, out=_scratch(w, r))
+
+
+def _over(w, d):
+    # w / d, into w, the cell's own array.
+    return np.divide(w, d, out=_scratch(w))
+
+
 def _coupling(f, to, coupling):
     # The constant the cell f.role -> to consumes, and f's record of
     # consumed constants with it added: alpha between regulariser and
@@ -467,10 +588,10 @@ def translate(f: RoleFunction, to: Role, coupling: CouplingParams = None) -> Rol
     D, R, S, A = Role  # one cell per (source, target) pair
     ev = {
         (D, R): lambda r: 2.0 * integral_from_zero(lambda x: e(x) * x, r, bp),
-        (D, S): lambda r: r * (1.0 - 4.0 * c * e(SQRT2 * r)),
+        (D, S): lambda r: _times(r, _minus_scaled(1.0, 4.0 * c, e, SQRT2 * r)),
         (D, A): lambda r: e(r) * r,
         (R, D): lambda r: _ratio_with_limit(dpsi, r) / 2.0,
-        (R, S): lambda r: r - SQRT2 * c * dpsi(SQRT2 * r),
+        (R, S): lambda r: _minus_scaled(r, SQRT2 * c, dpsi, SQRT2 * r),
         (R, A): lambda r: dpsi(r) * 0.5,  # halving is exact: the bits of / 2.0
         (S, D): lambda r: (
             1.0 - _ratio_with_limit(lambda x: SQRT2 * e(x / SQRT2), r)
@@ -478,10 +599,10 @@ def translate(f: RoleFunction, to: Role, coupling: CouplingParams = None) -> Rol
         (S, R): lambda r: (
             r * r - 2.0 * SQRT2 * integral_from_zero(lambda x: e(x / SQRT2), r, bp)
         ) / (4.0 * c),
-        (S, A): lambda r: (r - SQRT2 * e(r / SQRT2)) / (4.0 * c),
+        (S, A): lambda r: _over(_minus_scaled(r, SQRT2, e, r / SQRT2), 4.0 * c),
         (A, D): lambda r: _ratio_with_limit(e, r),
         (A, R): lambda r: 2.0 * integral_from_zero(e, r, bp),
-        (A, S): lambda r: r - 2.0 * SQRT2 * c * e(SQRT2 * r),
+        (A, S): lambda r: _minus_scaled(r, 2.0 * SQRT2 * c, e, SQRT2 * r),
     }[f.role, to]
 
     return RoleFunction(
@@ -491,6 +612,12 @@ def translate(f: RoleFunction, to: Role, coupling: CouplingParams = None) -> Rol
         breakpoints=bp,
         constants=consumed,
     )
+
+
+def _largest_magnitude(v):
+    # np.max(np.abs(v)) with no |v| array; abs() turns the -0.0 an all-zero
+    # v can give into 0.0, and a NaN in v still gives NaN.
+    return abs(max(v.max(), -v.min()))
 
 
 def estimate_lipschitz(f: RoleFunction, r_max: float, samples: int = 1_000_001) -> float:
@@ -530,7 +657,8 @@ def estimate_lipschitz(f: RoleFunction, r_max: float, samples: int = 1_000_001) 
             dx = np.diff(x)
             if not dx.all():
                 break
-            maxima.append(np.max(np.abs(np.diff(f.evaluator(x)) / dx)))
+            q = np.diff(f.evaluator(x))
+            maxima.append(_largest_magnitude(np.divide(q, dx, out=_scratch(q, dx))))
         else:
             return float(np.max(maxima))  # np.max, not max: a NaN propagates
     x = np.linspace(-r_max, r_max, n)
