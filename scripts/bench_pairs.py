@@ -10,10 +10,14 @@ then each side's median and quartiles per metric and the number of
 pairs the change won (ties count for neither side).  A gain is resolved
 when there are at least ten pairs, the change wins at least nine tenths
 of them and the medians differ by more than the parent's quartile
-spread.  The run length, the
-metric names and which way is better come from ``BENCHMARK.json`` in
-CHANGE_DIR.  The last line of standard output is one JSON object with
-every value.
+spread.  Two flags per metric check for a regression against the
+metric's bound, a fraction of the parent's median: "worse beyond bound"
+when the change's median is worse than the parent's by more than the
+bound, and "unresolved" when the parent's quartile spread is wider than
+the bound, so that a regression of that size could not show.  The run
+length, the metric names, which way is better and the bounds come from
+``BENCHMARK.json`` in CHANGE_DIR.  The last line of standard output is
+one JSON object with every value.
 """
 
 from __future__ import annotations
@@ -45,19 +49,24 @@ def quartiles(xs):
     return q1, q3
 
 
-def summarise(name, lower_is_better, parent, change):
-    """Medians, quartiles and wins of one metric over paired runs."""
+def summarise(name, lower_is_better, bound, parent, change):
+    """Medians, quartiles, wins and regression flags of one metric over
+    paired runs; ``bound`` is the worsening allowed, as a fraction of the
+    parent's median."""
     wins = sum((c < p) if lower_is_better else (c > p) for p, c in zip(parent, change))
     p_med, c_med = statistics.median(parent), statistics.median(change)
     p_q1, p_q3 = quartiles(parent)
     c_q1, c_q3 = quartiles(change)
     gained = (c_med < p_med) if lower_is_better else (c_med > p_med)
     resolved = len(parent) >= 10 and wins >= 0.9 * len(parent) and abs(c_med - p_med) > p_q3 - p_q1
+    allowed = bound * abs(p_med)
+    worsening = (c_med - p_med) if lower_is_better else (p_med - c_med)
     return {
-        "metric": name, "better": "lower" if lower_is_better else "higher",
+        "metric": name, "better": "lower" if lower_is_better else "higher", "bound": bound,
         "parent": {"median": p_med, "q1": p_q1, "q3": p_q3},
         "change": {"median": c_med, "q1": c_q1, "q3": c_q3},
         "wins": wins, "pairs": len(parent), "gain_resolved": bool(gained and resolved),
+        "worse_beyond_bound": bool(worsening > allowed), "unresolved": bool(p_q3 - p_q1 > allowed),
     }
 
 
@@ -76,6 +85,7 @@ def main():
         declared = json.load(fh)
     seconds = declared["run_seconds"]
     better = {m["name"]: m["better"] == "lower" for m in declared["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
 
     runs = {"parent": [], "change": []}
     failed = {"parent": 0, "change": 0}
@@ -92,13 +102,16 @@ def main():
     summary = []
     for name, lower in better.items():
         if all(name in r for side in runs.values() for r in side):
-            s = summarise(name, lower, [r[name] for r in runs["parent"]], [r[name] for r in runs["change"]])
+            s = summarise(name, lower, bounds[name], [r[name] for r in runs["parent"]],
+                          [r[name] for r in runs["change"]])
             summary.append(s)
             p, c = s["parent"], s["change"]
             print(f"{name} ({s['better']} is better): parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
                   f"  change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
                   f"  change won {s['wins']}/{s['pairs']}"
-                  f"{'  gain resolved' if s['gain_resolved'] else ''}")
+                  f"{'  gain resolved' if s['gain_resolved'] else ''}"
+                  f"{'  worse beyond bound' if s['worse_beyond_bound'] else ''}"
+                  f"{'  unresolved' if s['unresolved'] else ''}")
     print(f"failed ops: parent {failed['parent']}, change {failed['change']}")
     print(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": seconds,
                       "failed": failed, "runs": runs, "summary": summary}), flush=True)

@@ -11,14 +11,15 @@ sigma1 the flux function, sigma2 the identity, no biases) a block
 reproduces one explicit diffusion step to rounding.
 
 Past ``diffusion._CHUNK`` samples a block runs in the window loop of
-every long pass, ``diffusion._windowed``: each window reads its input
-with a halo of p1 + p2 samples (p the half-width of a stencil), trimmed
-to the ghosts each stencil needs, so sigma1 is evaluated on the window's
-inner values plus p2 on each side, never on one the whole block does
-not compute, and writes its samples into the block's output.  The
-windows run in parts on several threads only when sigma1 and sigma2 are
-both built by this package.  :func:`chain` runs one block after another
-through ``diffusion._run``.
+every long pass, ``diffusion._windowed``, and may write into its own
+input.  An output sample reads the input within q = p1 + p2 of it (p the
+half-width of a stencil).  So before the pass the block computes its
+samples within q of every window end, in one array with one column per
+end (``_seams``); each window then computes its samples at least q from
+its ends from its own samples alone, and the end samples are written
+after the last window.  The windows run in parts on several threads only
+when sigma1 and sigma2 are both built by this package.  :func:`chain`
+runs one block after another through ``diffusion._run``.
 """
 
 from __future__ import annotations
@@ -59,10 +60,11 @@ def _as_bias(b):
 
 def _correlate(x, taps, p, left, right, edge):
     # Centred correlation over the nonzero taps only, summed in stencil
-    # order, of x read with ``left`` and ``right`` ghost samples past its
-    # ends.  Ghosts are edge-clamped (reflecting samples) or zero
-    # (reflecting walls seen by a flux array), depending on ``edge``.
-    m = x.size
+    # order, along the first axis of x, read with ``left`` and ``right``
+    # ghost samples past its ends (x 1D when there are any).  Ghosts are
+    # edge-clamped (reflecting samples) or zero (reflecting walls seen by a
+    # flux array), depending on ``edge``.
+    m = len(x)
     xp = x
     if left or right:  # a window inside the signal reads no ghost
         xp = np.empty(left + m + right)
@@ -77,7 +79,7 @@ def _correlate(x, taps, p, left, right, edge):
             out = term
         else:
             out += term
-    return np.zeros(n) if out is None else out
+    return np.zeros((n,) + x.shape[1:]) if out is None else out
 
 
 def _nonzero_taps(k):
@@ -111,28 +113,55 @@ def apply_block(block: ResidualBlock, f: Signal1D) -> Signal1D:
     return Signal1D._wrap(_apply(block, f.values), f.h)
 
 
-def _apply(block, x):
-    # apply_block on raw samples.
+def _apply(block, x, out=None):
+    # apply_block on raw samples, into out: a fresh array when None, or x
+    # itself.
     for b in (block.b1, block.b2):
         if b.size and b.size != x.size:
             raise ValueError(f"bias length {b.size} does not match signal length {x.size}")
     n, p1, p2 = x.size, block._p1, block._p2
     if n <= diffusion._CHUNK:
-        out = np.empty_like(x)
+        out = np.empty_like(x) if out is None else out
         _residual(block, x, p1, p1, p2, p2, block.b1, block.b2, x, out)
         return out
+    q = p1 + p2
+    at, values = _seams(block, x)
 
     def step(a, b, out):
-        # The outer stencil reads inner values over [a - p2, b + p2); those
-        # in [lo, hi) lie in the signal and read x over [s, t) plus ghosts.
-        lo, hi = max(a - p2, 0), min(b + p2, n)
-        s, t = max(lo - p1, 0), min(hi + p1, n)
-        _residual(
-            block, x[s:t], s - lo + p1, hi + p1 - t, lo - a + p2, b + p2 - hi,
-            block.b1[lo:hi], block.b2[a:b], x[a:b], out,
-        )
+        # The samples at least q from the window's ends read only its own.
+        if b - a > 2 * q:
+            _residual(
+                block, x[a:b], 0, 0, 0, 0, block.b1[a + p1 : b - p1], block.b2[a + q : b - q],
+                x[a + q : b - q], out[q : b - a - q],
+            )
 
-    return diffusion._windowed(x, step, block.sigma1, block.sigma2)
+    out = diffusion._windowed(x, step, block.sigma1, block.sigma2, out=out)
+    out[at] = values
+    return out
+
+
+def _seams(block, x):
+    # The block's samples within q = p1 + p2 of each window end e, as
+    # (indices, values), computed before a pass writes into x, one column
+    # per end: the arithmetic of _residual, with W1 reading x edge-clamped
+    # and W2 reading zeros past the walls (sigma1's values there, on clamped
+    # samples, are dropped).  The evaluators see 1D arrays.
+    n, p1, p2 = x.size, block._p1, block._p2
+    q, ends = p1 + p2, [*range(0, n, diffusion._CHUNK), n]
+    at = np.add.outer(np.arange(-q, q), ends)
+    centres = np.add.outer(np.arange(-q - p2, q + p2), ends)  # those W2 reads
+    reads = x.take(np.add.outer(np.arange(-q - p2 - p1, q + p2 + p1), ends), mode="clip")
+    inner = _correlate(reads, block._taps1, p1, 0, 0, edge=True)
+    if block.b1.size:
+        inner += block.b1.take(centres, mode="clip")
+    mid = np.asarray(block.sigma1(inner.ravel()), dtype=np.float64).reshape(inner.shape)
+    mid[(centres < 0) | (centres >= n)] = 0.0
+    outer = _correlate(mid, block._taps2, p2, 0, 0, edge=False)
+    if block.b2.size:
+        outer += block.b2.take(at, mode="clip")
+    outer += x.take(at, mode="clip")
+    inside = (at >= 0) & (at < n)
+    return at[inside], np.asarray(block.sigma2(outer.ravel())).reshape(at.shape)[inside]
 
 
 def _residual(block, x_in, l1, r1, l2, r2, b1, b2, x_out, out):

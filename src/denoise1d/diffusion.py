@@ -28,6 +28,16 @@ once.  Each window reads a halo: the interface pass steps x[a-1:b+1]
 the pass's output, so a seam's interface is evaluated by both windows
 beside it.  Only evaluators that :mod:`.nonlinearities` builds run on
 several threads at once; a pass that calls any other runs in one part.
+
+A run holds one state.  Its first step writes a fresh array, so the
+caller's samples are never written; every later step overwrites the
+state it reads, so a yielded state stays valid only until the next step.
+To write in place, a pass over more than one window first computes what
+a window would read from its neighbours' samples: the interface pass the
+differences x[b] - x[b-1] across the window ends, a block
+(:mod:`.blocks`) its output samples near them.  Each window then reads
+only its own samples and those values, so the windows write in any
+order, and in parts at once, without a race.
 """
 
 from __future__ import annotations
@@ -219,10 +229,11 @@ def _run_parts(run, parts):
             raise part.error
 
 
-def _windowed(x, step, *evaluators):
+def _windowed(x, step, *evaluators, out=None):
     # The one window loop of a long pass: step(a, b, out[a:b]) writes each
-    # window [a, b) of its output, in the parts of _parts(x.size, *evaluators).
-    out = np.empty_like(x)
+    # window [a, b) of its output, a fresh array when out is None, in the
+    # parts of _parts(x.size, *evaluators).
+    out = np.empty_like(x) if out is None else out
 
     def run(windows):
         for a, b in windows:
@@ -232,25 +243,36 @@ def _windowed(x, step, *evaluators):
     return out
 
 
-def _interface_pass(h, interface, update, x):
+def _interface_pass(h, interface, update, x, out=None):
     # update(x, fd, v, keep, out) writes the samples ``keep`` of the step of
     # x into out, where v = interface(fd) holds the values at the samples'
-    # right interfaces and v[-1], the wall's, the one left of sample 0.
+    # right interfaces and v[-1], the wall's, the one left of sample 0; it
+    # reads no other sample of x.  out, a fresh array when None, may be x.
     # Past _CHUNK, each window [a, b) steps x[a-1:b+1] (clamped to x) into
-    # out[a:b].  x comes last, so that a partial of the rest is an
-    # array -> array step of _run.
+    # out[a:b], the differences across a and b taken before the pass.  x
+    # and out come last, so that a partial of the rest is a step of _run.
     if x.size <= _CHUNK:
-        out = np.empty_like(x)
+        out = np.empty_like(x) if out is None else out
         fd = _fdiff(x, h)
         update(x, fd, interface(fd), ..., out)
         return out
+    n = x.size
+    seams = np.subtract(x[_CHUNK::_CHUNK], x[_CHUNK - 1 : n - 1 : _CHUNK])  # x[b] - x[b-1]
 
     def step(a, b, out):
-        s = max(a - 1, 0)
-        fd = _fdiff(x[s : b + 1], h)
-        update(x[s : b + 1], fd, interface(fd), slice(a - s, b - s), out)
+        # _fdiff of x[a-1:b+1]: the entries across the window's ends from
+        # seams, the rest from the window's own samples.
+        k, s, t, own = a // _CHUNK, int(a > 0), int(b < n), x[a:b]
+        fd = np.empty(s + own.size + t)
+        fd[:s] = seams[k - s : k]
+        np.subtract(own[1:], own[:-1], out=fd[s : s + own.size - 1])
+        fd[s + own.size - 1 : -1] = seams[k : k + t]
+        fd[-1] = 0.0
+        if h != 1.0:
+            fd /= h
+        update(x[a - s : b + t], fd, interface(fd), slice(s, s + own.size), out)
 
-    return _windowed(x, step, interface)
+    return _windowed(x, step, interface, out=out)
 
 
 def _divergence(w, h, negated=False):
@@ -288,9 +310,13 @@ def _flux_pass(ev, tau, h):
 
 
 def _run(x, steps):
-    # The one state loop of every method: the state after each step, in turn.
+    # The one state loop of every method: the state after each step, in
+    # turn.  The first step writes a fresh array, so x, the caller's, is
+    # never written; every later step overwrites the state it reads, so a
+    # run holds one state and a yielded state is valid until the next step.
+    out = None
     for step in steps:
-        x = step(x)
+        x = out = step(x, out=out)
         yield x
 
 

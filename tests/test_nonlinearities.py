@@ -411,9 +411,9 @@ class TestCheapestExactForms:
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label())
     def test_nan_maps_to_nan(self, spec):
-        """Where the old formula gave NaN: every rewritten TV and
-        Perona-Malik formula (the truncated BFB and quadratic activations
-        map NaN to a number, and so does their psi'/2)."""
+        """Every rewritten formula gives NaN exactly where the formula it
+        replaced does: TV and Perona-Malik map NaN to NaN, and so do the
+        truncated BFB and quadratic activations and their psi'/2."""
         r = np.array([np.nan, -np.nan, 1.0, np.nan])
         for new, old in _rewritten_pairs(spec):
             with np.errstate(all="ignore"):

@@ -194,9 +194,13 @@ def _violations_by_full_scan(f, states, slack=1e-12):
 class TestViolationCap:
     def overflowing_states(self):
         # constant family at tau = 0.75 is above every bound: the range
-        # breaks at once and the error grows in every later state.
+        # breaks at once and the error grows in every later state.  A run
+        # overwrites its state at each step, so each state is copied as it
+        # passes; states that alias one buffer would all equal the last.
         f = Signal1D(np.random.default_rng(44).uniform(-1, 1, 40))
-        return f, list(_states(f.values, phi_of(Family.CONSTANT), 0.75, 30, 1.0))
+        states = [x.copy() for x in _states(f.values, phi_of(Family.CONSTANT), 0.75, 30, 1.0)]
+        assert not np.array_equal(states[0], states[-1])
+        return f, states
 
     @pytest.mark.parametrize("cap", [1, 3, 7, 50, 10_000])
     def test_overflowing_run_matches_the_full_scan(self, monkeypatch, cap):
