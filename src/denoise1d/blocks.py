@@ -24,6 +24,7 @@ runs one block after another through ``diffusion._run``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -58,28 +59,23 @@ def _as_bias(b):
     return bb
 
 
-def _correlate(x, taps, p, left, right, edge):
-    # Centred correlation over the nonzero taps only, summed in stencil
-    # order, along the first axis of x, read with ``left`` and ``right``
-    # ghost samples past its ends (x 1D when there are any).  Ghosts are
-    # edge-clamped (reflecting samples) or zero (reflecting walls seen by a
-    # flux array), depending on ``edge``.
-    m = len(x)
-    xp = x
-    if left or right:  # a window inside the signal reads no ghost
-        xp = np.empty(left + m + right)
-        xp[left : left + m] = x
-        xp[:left] = x[0] if edge else 0.0
-        xp[left + m :] = x[-1] if edge else 0.0
-    n = left + m + right - 2 * p
-    out = None
-    for j, kj in taps:
-        term = kj * xp[j : j + n]
-        if out is None:
-            out = term
+def _reads(xp, taps, n):
+    # The (weight, view) pairs of n outputs along xp's first axis; no tap reads one zero.
+    reads = []
+    for j, kj in taps:  # cheaper than a comprehension for a stencil's few taps
+        reads.append((kj, xp[j : j + n]))
+    return reads or [(0.0, np.zeros((n,) + xp.shape[1:]))]
+
+
+def _tap_sum(reads, out=None, term=None):
+    # The correlation, summed in stencil order into out, term for each later product.
+    total = None
+    for kj, r in reads:
+        if total is None:
+            total = np.multiply(kj, r, out)
         else:
-            out += term
-    return np.zeros((n,) + x.shape[1:]) if out is None else out
+            total += np.multiply(kj, r, term)
+    return total
 
 
 def _nonzero_taps(k):
@@ -114,16 +110,27 @@ def apply_block(block: ResidualBlock, f: Signal1D) -> Signal1D:
 
 
 def _apply(block, x, out=None):
-    # apply_block on raw samples, into out: a fresh array when None, or x
-    # itself.
+    # apply_block on raw samples, into out: a fresh array when None, or x.
+    return _block_step(block, x.size, {})(x, out)
+
+
+def _block_step(block, n, scratch):
+    # One run's step over n samples: in one window, _residual bound to ``scratch``, shared by blocks of one shape.
     for b in (block.b1, block.b2):
-        if b.size and b.size != x.size:
-            raise ValueError(f"bias length {b.size} does not match signal length {x.size}")
-    n, p1, p2 = x.size, block._p1, block._p2
-    if n <= diffusion._CHUNK:
-        out = np.empty_like(x) if out is None else out
-        _residual(block, x, p1, p1, p2, p2, block.b1, block.b2, x, out)
-        return out
+        if b.size and b.size != n:
+            raise ValueError(f"bias length {b.size} does not match signal length {n}")
+    p1, p2 = block._p1, block._p2
+    if n > diffusion._CHUNK:
+        return functools.partial(_apply_windowed, block)
+    clamp, pad1, pad2, acc, term = scratch.setdefault(
+        (p1, p2), (np.arange(-p1, n + p1), np.empty(n + 2 * p1), np.zeros(n + 2 * p2), np.empty(n), np.empty(n))
+    )
+    reads1, inside2, reads2 = _reads(pad1, block._taps1, n), pad2[p2 : p2 + n], _reads(pad2, block._taps2, n)
+    return functools.partial(_residual, block, clamp, pad1, reads1, block.b1, inside2, reads2, block.b2, acc, term)
+
+
+def _apply_windowed(block, x, out=None):
+    p1, p2 = block._p1, block._p2
     q = p1 + p2
     at, values = _seams(block, x)
 
@@ -131,8 +138,8 @@ def _apply(block, x, out=None):
         # The samples at least q from the window's ends read only its own.
         if b - a > 2 * q:
             _residual(
-                block, x[a:b], 0, 0, 0, 0, block.b1[a + p1 : b - p1], block.b2[a + q : b - q],
-                x[a + q : b - q], out[q : b - a - q],
+                block, None, None, _reads(x[a:b], block._taps1, b - a - 2 * p1), block.b1[a + p1 : b - p1],
+                None, None, block.b2[a + q : b - q], None, None, x[a + q : b - q], out[q : b - a - q],
             )
 
     out = diffusion._windowed(x, step, block.sigma1, block.sigma2, out=out)
@@ -151,12 +158,12 @@ def _seams(block, x):
     at = np.add.outer(np.arange(-q, q), ends)
     centres = np.add.outer(np.arange(-q - p2, q + p2), ends)  # those W2 reads
     reads = x.take(np.add.outer(np.arange(-q - p2 - p1, q + p2 + p1), ends), mode="clip")
-    inner = _correlate(reads, block._taps1, p1, 0, 0, edge=True)
+    inner = _tap_sum(_reads(reads, block._taps1, reads.shape[0] - 2 * p1))
     if block.b1.size:
         inner += block.b1.take(centres, mode="clip")
     mid = np.asarray(block.sigma1(inner.ravel()), dtype=np.float64).reshape(inner.shape)
     mid[(centres < 0) | (centres >= n)] = 0.0
-    outer = _correlate(mid, block._taps2, p2, 0, 0, edge=False)
+    outer = _tap_sum(_reads(mid, block._taps2, mid.shape[0] - 2 * p2))
     if block.b2.size:
         outer += block.b2.take(at, mode="clip")
     outer += x.take(at, mode="clip")
@@ -164,20 +171,28 @@ def _seams(block, x):
     return at[inside], np.asarray(block.sigma2(outer.ravel())).reshape(at.shape)[inside]
 
 
-def _residual(block, x_in, l1, r1, l2, r2, b1, b2, x_out, out):
-    # The block on one window, into out: W1 reads x_in with l1 and r1
-    # edge-clamped ghosts, W2 reads sigma1's values, as float64, with l2 and
-    # r2 zero ghosts, and the skip connection adds x_out.  Empty biases are
-    # skipped.
-    inner = _correlate(x_in, block._taps1, block._p1, l1, r1, edge=True)
+def _residual(block, clamp, pad1, reads1, b1, inside2, reads2, b2, acc, term, x, out=None):
+    # The block into out (fresh when None), x its skip connection: W1 sums reads1, W2 sums reads2
+    # over sigma1's values as float64, into acc with term (fresh when None); empty biases are skipped.
+    # In one window, pad1 (which reads1 views) gets x edge-clamped, and inside2, the middle of the
+    # zero-walled copy reads2 views, sigma1's values.
+    if clamp is not None:
+        x.take(clamp, None, pad1, "clip")
+    inner = _tap_sum(reads1, acc, term)
     if b1.size:
         inner += b1
     mid = np.asarray(block.sigma1(inner), dtype=np.float64)
-    outer = _correlate(mid, block._taps2, block._p2, l2, r2, edge=False)
+    if inside2 is None:
+        reads2 = _reads(mid, block._taps2, mid.size - 2 * block._p2)
+    else:
+        inside2[...] = mid
+    outer = _tap_sum(reads2, acc, term)
     if b2.size:
         outer += b2
-    outer += x_out
+    outer += x
+    out = np.empty_like(x) if out is None else out
     out[...] = block.sigma2(outer)
+    return out
 
 
 def make_diffusion_block(phi: RoleFunction, tau: float, h: float) -> ResidualBlock:
@@ -202,9 +217,9 @@ def make_diffusion_block(phi: RoleFunction, tau: float, h: float) -> ResidualBlo
 
 def chain(blocks, f: Signal1D) -> Signal1D:
     """Left-to-right composition of blocks; an empty chain is the identity."""
-    # One step per block: _apply bound to the block as a method, which
-    # costs no Python frame of its own.
-    return _last(_run(f.values, map(_apply.__get__, blocks)), f)
+    # One step per distinct block, bound for the run.
+    n, scratch = len(f), {}
+    return _last(_run(f.values, map(functools.cache(lambda b: _block_step(b, n, scratch)), blocks)), f)
 
 
 @_reentrant

@@ -13,7 +13,6 @@ Exit codes: 0 ok, 1 usage error, 2 I/O error, 3 stability violation.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import math
 import os
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import _apply, make_diffusion_block
+from .blocks import _block_step, make_diffusion_block
 from .blocks import chain  # noqa: F401  traced by name (bench/tracing.py)
 from .diffusion import StabilityViolation, StepSizeMode, _check_budget, _last, _lipschitz
 from .diffusion import _run, _schedule, _states, _windows, max_stable_tau
@@ -70,8 +69,8 @@ def generate_signal(kind: str, n: int, params=None) -> Signal1D:
 
     step: 0 for i < N//2, then 1.  spike: single 1 at index N//2.
     sine: sin(2*pi*i/N).  piecewise: constant levels (default
-    0, 1, 0.25, 0.75) over equal segments; params may override the
-    levels.
+    0, 1, 0.25, 0.75) over equal segments, at least one sample each;
+    params may override the levels.
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got N = {n!r}")
@@ -86,6 +85,8 @@ def generate_signal(kind: str, n: int, params=None) -> Signal1D:
         levels = tuple(params) if params else (0.0, 1.0, 0.25, 0.75)
         if not levels or not all(np.isfinite(v) for v in levels):
             raise ValueError("piecewise levels must be finite and nonempty")
+        if n < len(levels):  # a level would get an empty segment
+            raise ValueError(f"piecewise needs N >= {len(levels)} samples for {len(levels)} levels, got N = {n}")
         edges = np.linspace(0, n, len(levels) + 1).astype(int)
         x = np.empty(n)
         for lv, a, b in zip(levels, edges[:-1], edges[1:]):
@@ -208,7 +209,7 @@ def _denoise_signal(f: Signal1D, method, spec, tau, mode, steps=None, stopping_t
         shrink = translate(phi, Role.SHRINKAGE, CouplingParams(tau=tau))
         return _run(f.values, itertools.repeat(_haar_pass(shrink.evaluator), steps)), tau, L
     if method == "resnet":
-        block = functools.partial(_apply, make_diffusion_block(phi, tau, f.h))
+        block = _block_step(make_diffusion_block(phi, tau, f.h), len(f), {})
         return _run(f.values, itertools.repeat(block, steps)), tau, L
     return _states(f.values, phi, tau, steps, f.h), tau, L
 

@@ -37,7 +37,12 @@ a window would read from its neighbours' samples: the interface pass the
 differences x[b] - x[b-1] across the window ends, a block
 (:mod:`.blocks`) its output samples near them.  Each window then reads
 only its own samples and those values, so the windows write in any
-order, and in parts at once, without a race.
+order, and in parts at once, without a race.  A run also binds its
+scratch once: in one window its step reuses the temporaries it binds on
+its first call, and the views x[1:] and x[:-1] of each array it reads
+(the input, then the state), so a step at N <= ``_CHUNK`` is its ufunc
+and evaluator calls.  Scratch ends with its run and never sits on a
+RoleFunction or block, which threads may share.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ from __future__ import annotations
 import collections
 import contextvars
 import enum
-import functools
 import itertools
 import math
 import os
@@ -243,19 +247,36 @@ def _windowed(x, step, *evaluators, out=None):
     return out
 
 
-def _interface_pass(h, interface, update, x, out=None):
-    # update(x, fd, v, keep, out) writes the samples ``keep`` of the step of
-    # x into out, where v = interface(fd) holds the values at the samples'
-    # right interfaces and v[-1], the wall's, the one left of sample 0; it
-    # reads no other sample of x.  out, a fresh array when None, may be x.
-    # Past _CHUNK, each window [a, b) steps x[a-1:b+1] (clamped to x) into
-    # out[a:b], the differences across a and b taken before the pass.  x
-    # and out come last, so that a partial of the rest is a step of _run.
-    if x.size <= _CHUNK:
+def _interface_pass(h, interface, update):
+    # The interface pass as a step of one run, x -> out (fresh when None, or
+    # x).  update(y, fd, v, keep, out, div) writes into out the step of y,
+    # the samples ``keep`` of x and the only ones it reads, with v =
+    # interface(fd) the values at the samples' right interfaces and v[-1],
+    # the wall's, the one left of sample 0, and its divergence into div.
+    # Past _CHUNK, window [a, b) steps x[a-1:b+1] (clamped) into out[a:b].
+    read = fd = div = head = right = left = None
+
+    def step(x, out=None):
+        nonlocal read, fd, div, head, right, left
+        if x is not read:
+            if x.size > _CHUNK:
+                return _windowed_pass(h, interface, update, x, out)
+            if fd is None or fd.size != x.size:
+                fd, div = np.empty_like(x), np.empty_like(x)
+                head = fd[:-1]
+            read, right, left = x, x[1:], x[:-1]
         out = np.empty_like(x) if out is None else out
-        fd = _fdiff(x, h)
-        update(x, fd, interface(fd), ..., out)
+        np.subtract(right, left, head)  # _fdiff of x, into fd
+        fd[-1] = 0.0
+        if h != 1.0:
+            fd /= h
+        update(x, fd, interface(fd), ..., out, div)
         return out
+
+    return step
+
+
+def _windowed_pass(h, interface, update, x, out):
     n = x.size
     seams = np.subtract(x[_CHUNK::_CHUNK], x[_CHUNK - 1 : n - 1 : _CHUNK])  # x[b] - x[b-1]
 
@@ -270,43 +291,45 @@ def _interface_pass(h, interface, update, x, out=None):
         fd[-1] = 0.0
         if h != 1.0:
             fd /= h
-        update(x[a - s : b + t], fd, interface(fd), slice(s, s + own.size), out)
+        update(own, fd, interface(fd), slice(s, s + own.size), out, None)
 
     return _windowed(x, step, interface, out=out)
 
 
-def _divergence(w, h, negated=False):
+def _divergence(w, h, negated=False, out=None):
     # Flux difference around each sample: w holds the fluxes through the
     # samples' right interfaces, and w[-1], the wall's, that into the first.
     # ``negated`` gives div(-w) as the reversed difference, bit for bit:
     # IEEE (-a) - (-b) is b - a, signed zeros included.  It has w's dtype
-    # when that is a float, so that it scales in place; float64 otherwise.
-    div = np.empty_like(w, dtype=None if w.dtype.kind == "f" else np.float64)
+    # when that is a float, so that it scales in place; float64 otherwise:
+    # into out when out has w's dtype, else into a fresh array.
+    if out is None or out.dtype is not w.dtype:
+        out = np.empty_like(w, dtype=None if w.dtype.kind == "f" else np.float64)
     if negated:
-        div[0] = w[-1] - w[0]
-        np.subtract(w[:-1], w[1:], out=div[1:])
+        out[0] = w[-1] - w[0]
+        np.subtract(w[:-1], w[1:], out[1:])
     else:
-        div[0] = w[0] - w[-1]
-        np.subtract(w[1:], w[:-1], out=div[1:])
+        out[0] = w[0] - w[-1]
+        np.subtract(w[1:], w[:-1], out[1:])
     if h != 1.0:
-        div /= h
-    return div
+        out /= h
+    return out
 
 
 def _flux_update(tau, h):
     # The explicit step's update: x + tau * div(w), scaled in place and
     # added for the kept samples.
-    def update(x, fd, w, keep, out):
-        d = _divergence(w, h)
+    def update(x, fd, w, keep, out, div):
+        d = _divergence(w, h, out=div)
         d *= tau
-        np.add(x[keep], d[keep], out=out)
+        np.add(x, d[keep], out)
 
     return update
 
 
 def _flux_pass(ev, tau, h):
-    # The explicit step as an array -> array step of _run.
-    return functools.partial(_interface_pass, h, ev, _flux_update(tau, h))
+    # The explicit step as an array -> array step of one run.
+    return _interface_pass(h, ev, _flux_update(tau, h))
 
 
 def _run(x, steps):
@@ -316,12 +339,12 @@ def _run(x, steps):
     # run holds one state and a yielded state is valid until the next step.
     out = None
     for step in steps:
-        x = out = step(x, out=out)
+        x = out = step(x, out)
         yield x
 
 
 def _states(x, phi, tau, m, h):
-    # The flux run of m steps; a partial step costs no Python frame of its own.
+    # The flux run of m steps: one pass, which binds its scratch for the run.
     return _run(x, itertools.repeat(_flux_pass(phi.evaluator, tau, h), m))
 
 
@@ -349,7 +372,7 @@ def explicit_step(u: Signal1D, phi: RoleFunction, tau: float) -> Signal1D:
 
 def _lipschitz(phi, f):
     # L of phi sampled on the initial gradient range of f, padded x2.
-    # Under an admissible step the gradients cannot leave this range.
+    # Not a bound: admissible steps took Perona-Malik to 2.10x, truncated BFB to 4.49x (ROADMAP item 1).
     x = f.values
     with np.errstate(over="ignore"):
         r = 2.0 * max(float(_largest_magnitude(_fdiff(x[a : b + 1], f.h))) for a, b in _windows(x.size))

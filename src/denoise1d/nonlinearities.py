@@ -134,6 +134,8 @@ class RoleFunction:
     mean, say) gives results that depend on the window.  On a long
     signal the evaluators this module builds are called from several
     threads at once; any other is called on the caller's thread only.
+    The array an evaluator is given is reused after it returns, so it may
+    return that array or a view of it, but must not keep it.
     ``provenance`` records how the function was obtained (closed form,
     translation chain, or user supplied).  ``derivative`` is an optional
     analytic d/dr used by the regulariser translations; ``breakpoints``

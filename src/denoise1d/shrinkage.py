@@ -29,7 +29,6 @@ the step through ``diffusion._run``, the one state loop.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -64,17 +63,17 @@ def shrink_pair(a: float, b: float, shrink: RoleFunction):
 _identity_step = _flux_update(0.25, 1.0)
 
 
-def _haar_update(x, fd, s, keep, out):
+def _haar_update(x, fd, s, keep, out, div):
     # Closed form of the cycle-spun step as two flux divergences,
     #   u + div(fd)/4 + div(-s)/(2 sqrt2),  s = S(fd/sqrt2),
     # that is u + (fd - bd)/4 + (S(bd/sqrt2) - S(fd/sqrt2)) / (2 sqrt2) with
     # clamped differences: exactly the average of each sample's two pair
     # reconstructions.  div(-s) is S(bd/sqrt2) - S(fd/sqrt2) bit for bit, with
     # no negation of s; subtracting div(s) would turn a 0.0 into -0.0
-    # ([-5e-324, -0.0, 0.0]).
-    e = _divergence(s, 1.0, negated=True)
+    # ([-5e-324, -0.0, 0.0]).  div(fd) is added before div(-s) reuses div.
+    _identity_step(x, fd, fd, keep, out, div)
+    e = _divergence(s, 1.0, negated=True, out=div)
     e /= 2.0 * SQRT2
-    _identity_step(x, fd, fd, keep, out)
     out += e[keep]
 
 
@@ -85,8 +84,8 @@ def _haar_interface(ev):
 
 
 def _haar_pass(ev):
-    # The shrinkage step as an array -> array step of diffusion._run.
-    return functools.partial(_interface_pass, 1.0, _haar_interface(ev), _haar_update)
+    # The shrinkage step as an array -> array step of one run.
+    return _interface_pass(1.0, _haar_interface(ev), _haar_update)
 
 
 def _require_unit_grid(h):

@@ -62,10 +62,10 @@ def _divergence_of(u, spec):
     # div(psi'(fd u)/2): the interface pass with the divergence as update.
     ev = translate(spec.psi, Role.ACTIVATION).evaluator
 
-    def update(x, fd, w, keep, out):
-        np.copyto(out, _divergence(w, u.h)[keep])
+    def update(x, fd, w, keep, out, div):
+        np.copyto(out, _divergence(w, u.h, out=div)[keep])
 
-    return _interface_pass(u.h, ev, update, u.values)
+    return _interface_pass(u.h, ev, update)(u.values)
 
 
 def euler_lagrange_residual(u: Signal1D, f: Signal1D, spec: EnergySpec) -> Signal1D:

@@ -65,6 +65,18 @@ class TestGenerateSignal:
         got = generate_signal("piecewise", 8, params=(0.0, 1.0)).values
         np.testing.assert_array_equal(got, [0, 0, 0, 0, 1, 1, 1, 1])
 
+    def test_piecewise_needs_a_sample_per_level(self):
+        with pytest.raises(ValueError, match="N >= 5"):
+            generate_signal("piecewise", 3, params=(1.0, 2.0, 3.0, 4.0, 5.0))
+        np.testing.assert_array_equal(generate_signal("piecewise", 3, params=(1.0, 2.0, 3.0)).values, [1, 2, 3])
+
+    def test_piecewise_with_fewer_samples_than_levels_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        argv = ["generate", "--kind", "piecewise", "--n", "3", "--levels", "1,2,3,4,5", "--out", str(out)]
+        assert main(argv) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_inputs(self):
         with pytest.raises(Exception):
             generate_signal("spike", 0)

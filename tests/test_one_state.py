@@ -12,6 +12,8 @@ signals; the single steps are taken unpatched, each in one window.
 """
 
 import itertools
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -319,3 +321,103 @@ class TestMemory:
                     tracemalloc.stop()
                 assert out.values.nbytes == 8 * self.N
                 assert peak <= out.values.nbytes + workers * (2 << 20), (name, peak)
+
+
+class TestSharedObjects:
+    """A run binds its temporaries for itself, never on a shared object:
+    two runs on one RoleFunction or one block, interleaved step by step or
+    on two threads, give the bits each gives alone, at one window and at
+    two."""
+
+    SIZES = (16, diffusion._CHUNK + 3)
+
+    @staticmethod
+    def _phi():
+        return make_role_function(FamilySpec(Family.PERONA_MALIK), Role.ACTIVATION)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_two_runs_on_one_phi_advanced_alternately(self, n):
+        phi = self._phi()
+        xs = [_signal(n, seed).values for seed in (1, 2)]
+        alone = [[u.copy() for u in diffusion._states(x, phi, 0.2, 5, 1.0)] for x in xs]
+        runs = [diffusion._states(x, phi, 0.2, 5, 1.0) for x in xs]
+        for k in range(5):
+            for run, states in zip(runs, alone):
+                assert_bit_identical(next(run), states[k])
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_two_threads_on_one_block_and_one_phi(self, n):
+        phi = self._phi()
+        block = make_diffusion_block(phi, 0.2, 1.0)
+        fs = [_signal(n, seed) for seed in (3, 4)]
+        runs = {
+            "chain": lambda f: chain([block] * 6, f).values,
+            "diffuse": lambda f: diffuse(f, phi, 1.0)[0].values,
+        }
+        alone = {(name, i): run(f) for name, run in runs.items() for i, f in enumerate(fs)}
+        got, errors = {}, []
+
+        def work(name, i):
+            try:
+                for _ in range(30):
+                    got[name, i] = runs[name](fs[i])
+                    assert_bit_identical(got[name, i], alone[name, i])
+            except BaseException as exc:  # reported on the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=key) for key in alone]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert set(got) == set(alone)
+
+
+def _itself(r):
+    return r
+
+
+def _a_view(r):
+    return r[:]
+
+
+def _a_copy(r):
+    return r * 1.0
+
+
+class TestEvaluatorsThatAlias:
+    """An evaluator may return the array it is given, or a view of it: a run
+    reuses that array for its next step, so it must be done with the value
+    by then.  Each run equals its public single steps applied one by one."""
+
+    EVALUATORS = (_itself, _a_view, _a_copy)
+    N, STEPS = 16, 7
+
+    @pytest.mark.parametrize("ev", EVALUATORS)
+    def test_flux_run(self, ev):
+        f = _signal(self.N, 11)
+        phi = user_role_function(Role.ACTIVATION, ev)
+        u, plan = diffuse(f, phi, 1.0)
+        assert plan.steps > 1
+        assert_bit_identical(u.values, _stepped(f, lambda v: explicit_step(v, phi, plan.tau), plan.steps))
+
+    @pytest.mark.parametrize("ev", EVALUATORS)
+    def test_haar_run(self, ev):
+        f = _signal(self.N, 12)
+        shrink = user_role_function(Role.SHRINKAGE, ev)
+        assert_bit_identical(iterate_shrinkage(f, shrink, self.STEPS).values,
+                             _stepped(f, lambda v: shift_invariant_step(v, shrink), self.STEPS))
+
+    @pytest.mark.parametrize("ev", EVALUATORS)
+    def test_block_run(self, ev):
+        f = _signal(self.N, 13)
+        block = ResidualBlock(w1=[0.5, 0.0, -1.0, 1.0, 0.25], sigma1=ev, w2=[-0.2, 0.2, 0.3], sigma2=ev)
+        assert_bit_identical(chain([block] * self.STEPS, f).values,
+                             _stepped(f, lambda v: apply_block(block, v), self.STEPS))
