@@ -82,7 +82,7 @@ def generate_signal(kind: str, n: int, params=None) -> Signal1D:
     elif kind == "sine":
         x = np.sin(2.0 * np.pi * np.arange(n) / n)
     elif kind == "piecewise":
-        levels = tuple(params) if params else (0.0, 1.0, 0.25, 0.75)
+        levels = (0.0, 1.0, 0.25, 0.75) if params is None else tuple(params)
         if not levels or not all(np.isfinite(v) for v in levels):
             raise ValueError("piecewise levels must be finite and nonempty")
         if n < len(levels):  # a level would get an empty segment
@@ -215,7 +215,11 @@ def _denoise_signal(f: Signal1D, method, spec, tau, mode, steps=None, stopping_t
 
 
 def _cmd_generate(args):
-    params = tuple(float(s) for s in args.levels.split(",")) if args.levels else None
+    params = None
+    if args.levels is not None:
+        if args.kind != "piecewise":
+            raise ValueError(f"--kind {args.kind} does not read --levels")
+        params = tuple(float(s) for s in args.levels.split(",")) if args.levels else ()
     u = generate_signal(args.kind, args.n, params)
     write_signal_csv(args.out, u)
 
@@ -232,12 +236,15 @@ def _cmd_denoise(args):
     tau = CouplingParams(tau=args.tau).tau  # positive and finite
     noise = _noise_model(args)
     _check_plan(args.method, args.steps, args.time)
+    report_path = args.report or args.out + ".report"
+    if os.path.realpath(report_path) == os.path.realpath(args.out):
+        raise ValueError(f"--report {report_path} would overwrite --out {args.out}")
     f = add_noise(read_signal_csv(args.input), noise, args.seed)
     states, tau, L = _denoise_signal(
         f, args.method, spec, tau, StepSizeMode(args.mode), args.steps, args.time)
     report, x = _observe(f, states, L, tau)
     write_signal_csv(args.out, Signal1D._wrap(x, f.h))
-    with open(args.report or args.out + ".report", "w", encoding="ascii") as fh:
+    with open(report_path, "w", encoding="ascii") as fh:
         fh.write("\n".join(report.to_lines()) + "\n")
 
 

@@ -77,6 +77,22 @@ class TestGenerateSignal:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_levels_are_rejected(self):
+        with pytest.raises(ValueError, match="finite and nonempty"):
+            generate_signal("piecewise", 8, params=())
+
+    @pytest.mark.parametrize("argv,err", [
+        (["--kind", "step", "--levels", "5,6"], "--kind step does not read --levels"),
+        (["--kind", "sine", "--levels="], "--kind sine does not read --levels"),
+        (["--kind", "piecewise", "--levels="], "piecewise levels must be finite and nonempty"),
+        (["--kind", "piecewise", "--levels", ""], "piecewise levels must be finite and nonempty"),
+    ])
+    def test_levels_it_cannot_use_are_a_usage_error(self, tmp_path, capsys, argv, err):
+        out = tmp_path / "g.csv"
+        assert main(["generate", "--n", "8", "--out", str(out)] + argv) == 1
+        assert capsys.readouterr() == ("", f"usage error: {err}\n")
+        assert os.listdir(tmp_path) == []
+
     def test_bad_inputs(self):
         with pytest.raises(Exception):
             generate_signal("spike", 0)
@@ -305,6 +321,30 @@ class TestNegativeLists:
 
 
 class TestDenoiseCommand:
+    @pytest.mark.parametrize("out,report,link", [
+        ("./x.csv", "x.csv", None),
+        ("x.csv", "{tmp}/x.csv", None),
+        ("sub/../x.csv", "./x.csv", None),
+        ("x.csv", None, "x.csv.report"),  # the default report path links to the output
+    ])
+    def test_a_report_that_would_overwrite_the_output_is_a_usage_error(
+            self, tmp_path, capsys, monkeypatch, out, report, link):
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("sub")
+        write_signal_csv("f.csv", generate_signal("sine", 16))
+        if link:
+            os.symlink("x.csv", link)
+        argv = ["denoise", "--method", "diffusion", "--input", "f.csv", "--out", out, "--time", "1"]
+        if report:
+            argv += ["--report", report.format(tmp=tmp_path)]
+        before = sorted(os.listdir(tmp_path))
+        assert main(argv) == 1
+        assert "would overwrite --out" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before and os.listdir("sub") == []
+        # The paths are checked before the input is read: a missing input
+        # is not an i/o error here.
+        assert main([a.replace("f.csv", "missing.csv") for a in argv]) == 1
+
     def test_zero_time_returns_the_input(self, tmp_path):
         sig = tmp_path / "f.csv"
         out = tmp_path / "o.csv"

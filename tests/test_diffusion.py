@@ -246,6 +246,26 @@ class TestMaximumMinimumPrinciple:
         assert escaped
 
 
+class TestWideGradientRange:
+    """ROADMAP item 1: once max|fd| dwarfs phi's features near 0, the
+    Lipschitz grid misses phi's slope there and ``diffuse`` plans an
+    unstable step.  Strict xfails, so the change that certifies the bound
+    has to turn them into passes.  Truncated quadratic is not pinned: the
+    paper's proposition leaves its right bound open."""
+
+    @pytest.mark.parametrize("family", [
+        pytest.param(Family.PERONA_MALIK, marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 1: the grid reads L = 0.135 (true 1); 6 steps overshoot by 3.19"))),
+        pytest.param(Family.TRUNCATED_BFB, marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 1: the grid reads L = 0.5 (true 1); 20 steps overshoot by 1.54"))),
+    ])
+    def test_the_planned_step_keeps_the_range(self, family):
+        f = Signal1D([0.0, 1e5, 0.0, 0.0, 0.1, 0.0, 0.1, 0.0])
+        u = diffuse(f, phi_of(family), 20.0, StepSizeMode.MAXMIN)[0].values
+        assert float(np.min(u)) >= -1e-12
+        assert float(np.max(u)) <= 1e5 + 1e-12
+
+
 class TestSharedLoop:
     """diffuse and ``denoise --method diffusion --steps m`` run the loop of
     the explicit scheme: bit-identical to m calls of explicit_step, sum

@@ -1,8 +1,9 @@
 """Every name a denoise1d module imports is used there, exported through
 ``__all__`` (the package ``__init__``), or marked ``# noqa: F401`` for
 bench/tracing.py, which wraps it by name in that module; every private
-name a module defines is used somewhere in the package; and importing the
-CLI does not load the thread pool's module."""
+name a module defines is used somewhere in the package; importing the
+CLI does not load the thread pool's module; and numpy is the package's
+one third-party import, so the Tikhonov oracle runs without scipy."""
 
 import ast
 import importlib.util
@@ -98,12 +99,44 @@ def test_every_private_name_is_used():
     assert not unused, unused
 
 
+def _python(code):
+    # Exit status of ``code`` run in a fresh interpreter that imports this tree.
+    src = os.path.dirname(PKG)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode
+
+
 def test_importing_the_cli_does_not_load_concurrent_futures():
     # The parts of a long pass run on plain threading threads.  With a
     # ThreadPoolExecutor, concurrent.futures was first imported in the
     # middle of a run, and its lasting allocations between the long arrays
     # pushed long-signal peak_rss_mb from 85.7 to 94.5 MiB.
-    src = os.path.dirname(PKG)
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    code = "import sys, denoise1d, denoise1d.cli; sys.exit('concurrent.futures' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert _python("import sys, denoise1d, denoise1d.cli; sys.exit('concurrent.futures' in sys.modules)") == 0
+
+
+def test_every_absolute_import_is_numpy_or_the_standard_library():
+    # pyproject.toml lists numpy as the one runtime dependency.
+    foreign = []
+    for module in MODULES:
+        with open(os.path.join(PKG, module + ".py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{module}.py:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] != "numpy"
+                        and name.split(".")[0] not in sys.stdlib_module_names]
+    assert not foreign, foreign
+
+
+def test_the_oracle_runs_without_scipy():
+    # A None entry in sys.modules makes any import of scipy raise.
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "import numpy as np, denoise1d\n"
+            "u = denoise1d.tikhonov_solve_oracle(denoise1d.Signal1D([0.0, 1.0]), 0.25).values\n"
+            "sys.exit(not np.allclose(u, [1 / 6, 5 / 6], rtol=0, atol=1e-12))")
+    assert _python(code) == 0

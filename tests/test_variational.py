@@ -136,6 +136,29 @@ class TestTikhonovOracle:
             assert float(np.max(np.abs(r.values))) <= 1e-10
 
 
+class TestOracleSolvesItsSystem:
+    """The oracle against (I + cL) u = f itself, c = alpha/h^2, with the
+    reflecting Laplacian built as D^T D from the (N-1) x N forward
+    difference D: no step code."""
+
+    @staticmethod
+    def system(n, c):
+        d = (np.eye(n, k=1) - np.eye(n))[:-1]
+        return np.eye(n) + c * (d.T @ d)
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 17, 64, 257))
+    @pytest.mark.parametrize("h", (1.0, 0.5, 0.3))
+    @pytest.mark.parametrize("alpha", (1e-8, 1e-2, 1.0, 1e2, 1e6))
+    def test_residual_and_dense_solve(self, alpha, h, n):
+        f = np.random.default_rng(n).uniform(0, 1, n)
+        c = alpha / (h * h)
+        a = self.system(n, c)
+        u = tikhonov_solve_oracle(Signal1D(f, h), alpha).values
+        assert float(np.max(np.abs(a @ u - f))) / (1.0 + 4.0 * c) <= 1e-14
+        if alpha <= 1.0:
+            np.testing.assert_allclose(u, np.linalg.solve(a, f), rtol=0, atol=1e-14)
+
+
 class TestMinimizeByDiffusion:
     def test_single_homogeneous_step(self):
         f = Signal1D([0.0, 0.0, 1.0, 0.0, 0.0])
