@@ -10,7 +10,9 @@ then each side's median and quartiles per metric and the number of
 pairs the change won (ties count for neither side).  A gain is resolved
 when there are at least ten pairs, the change wins at least nine tenths
 of them and the medians differ by more than the parent's quartile
-spread.  Two flags per metric check for a regression against the
+spread; a loss is resolved the same way, with the parent winning at
+least nine tenths of the pairs, so that a regression inside the bound
+shows too.  Two flags per metric check for a regression against the
 metric's bound, a fraction of the parent's median: "worse beyond bound"
 when the change's median is worse than the parent's by more than the
 bound, and "unresolved" when the parent's quartile spread is wider than
@@ -54,18 +56,21 @@ def summarise(name, lower_is_better, bound, parent, change):
     paired runs; ``bound`` is the worsening allowed, as a fraction of the
     parent's median."""
     wins = sum((c < p) if lower_is_better else (c > p) for p, c in zip(parent, change))
+    losses = sum((c > p) if lower_is_better else (c < p) for p, c in zip(parent, change))
     p_med, c_med = statistics.median(parent), statistics.median(change)
     p_q1, p_q3 = quartiles(parent)
     c_q1, c_q3 = quartiles(change)
     gained = (c_med < p_med) if lower_is_better else (c_med > p_med)
-    resolved = len(parent) >= 10 and wins >= 0.9 * len(parent) and abs(c_med - p_med) > p_q3 - p_q1
+    lost = (c_med > p_med) if lower_is_better else (c_med < p_med)
+    apart = len(parent) >= 10 and abs(c_med - p_med) > p_q3 - p_q1
     allowed = bound * abs(p_med)
     worsening = (c_med - p_med) if lower_is_better else (p_med - c_med)
     return {
         "metric": name, "better": "lower" if lower_is_better else "higher", "bound": bound,
         "parent": {"median": p_med, "q1": p_q1, "q3": p_q3},
         "change": {"median": c_med, "q1": c_q1, "q3": c_q3},
-        "wins": wins, "pairs": len(parent), "gain_resolved": bool(gained and resolved),
+        "wins": wins, "pairs": len(parent), "gain_resolved": bool(gained and apart and wins >= 0.9 * len(parent)),
+        "loss_resolved": bool(lost and apart and losses >= 0.9 * len(parent)),
         "worse_beyond_bound": bool(worsening > allowed), "unresolved": bool(p_q3 - p_q1 > allowed),
     }
 
@@ -110,6 +115,7 @@ def main():
                   f"  change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
                   f"  change won {s['wins']}/{s['pairs']}"
                   f"{'  gain resolved' if s['gain_resolved'] else ''}"
+                  f"{'  loss resolved' if s['loss_resolved'] else ''}"
                   f"{'  worse beyond bound' if s['worse_beyond_bound'] else ''}"
                   f"{'  unresolved' if s['unresolved'] else ''}")
     print(f"failed ops: parent {failed['parent']}, change {failed['change']}")

@@ -77,7 +77,7 @@ def _child(kernel, family, n, steps, repeats):
         "shift_invariant_step": repeat(lambda u: d1.shift_invariant_step(u, shrink)),
         "apply_block": repeat(lambda u: d1.apply_block(block, u)),
     }[kernel]
-    call()  # any lazy set-up (the pool's threads) before timing
+    call()  # any one-time set-up before timing
     runs = []
     for _ in range(repeats):
         start = time.perf_counter()

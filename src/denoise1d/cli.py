@@ -70,7 +70,7 @@ def generate_signal(kind: str, n: int, params=None) -> Signal1D:
     step: 0 for i < N//2, then 1.  spike: single 1 at index N//2.
     sine: sin(2*pi*i/N).  piecewise: constant levels (default
     0, 1, 0.25, 0.75) over equal segments, at least one sample each;
-    params may override the levels.
+    params may override the levels, and no other kind takes params.
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got N = {n!r}")
@@ -93,6 +93,8 @@ def generate_signal(kind: str, n: int, params=None) -> Signal1D:
             x[a:b] = lv
     else:
         raise ValueError(f"unknown signal kind {kind!r}")
+    if params is not None and kind != "piecewise":
+        raise ValueError(f"{kind} takes no params, got {params!r}")
     return Signal1D(x)
 
 

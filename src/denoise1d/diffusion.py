@@ -23,11 +23,13 @@ is exactly 0.0, so phi(0) and S(0) are the wall values.  A pass over more
 than ``_CHUNK`` samples runs through the one window loop, ``_windowed``,
 so that each window's temporaries stay in cache; its windows run in up
 to ``_WORKERS`` contiguous parts of at least ``_PART_WINDOWS`` windows at
-once.  Each window reads a halo: the interface pass steps x[a-1:b+1]
-(clamped to the signal) as a whole array and writes [a, b) straight into
-the pass's output, so a seam's interface is evaluated by both windows
-beside it.  Only evaluators that :mod:`.nonlinearities` builds run on
-several threads at once; a pass that calls any other runs in one part.
+once, the first on the caller's thread and each other on a thread that
+the pass starts and waits for.  Each window reads a halo: the interface
+pass steps x[a-1:b+1] (clamped to the signal) as a whole array and
+writes [a, b) straight into the pass's output, so a seam's interface is
+evaluated by both windows beside it.  Only evaluators that
+:mod:`.nonlinearities` builds run on several threads at once; a pass
+that calls any other runs in one part.
 
 A run holds one state.  Its first step writes a fresh array, so the
 caller's samples are never written; every later step overwrites the
@@ -47,13 +49,12 @@ RoleFunction or block, which threads may share.
 
 from __future__ import annotations
 
-import collections
+import _thread
 import contextvars
 import enum
 import itertools
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,10 +70,10 @@ _CHUNK = 1 << 15
 # Parts a pass over more than one window runs in at once: one per usable
 # CPU.  numpy releases the GIL inside each window's ufuncs.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-# Fewest windows in a part.  Handing a part to a pool thread (waking it,
-# passing the GIL) costs about what a few windows' work saves: on a 2-vCPU
-# VM, N = 1e5 (4 windows) ran 10% slower in two parts, and 16 or more
-# windows ran faster.
+# Fewest windows in a part.  Handing a part to another thread (starting
+# it, passing the GIL) costs about what a few windows' work saves: on a
+# 2-vCPU VM, N = 1e5 (4 windows) ran 10% slower in two parts, and 16 or
+# more windows ran faster.
 _PART_WINDOWS = 8
 # Most steps one run may take.  A flat input diffused to T = 1e9 plans
 # 4e9 steps; a plan past the budget raises before it takes a step, not
@@ -135,13 +136,13 @@ def _parts(n, *evaluators):
 
 
 class _Part:
-    # run(part) in a copy of the caller's context, for a pool thread.
+    # run(part) in a copy of the caller's context, on a thread of its own.
     # ``done`` is held until the part has ended.
 
     def __init__(self, run, part):
         self.context, self.run, self.part = contextvars.copy_context(), run, part
         self.error = None
-        self.done = threading.Lock()
+        self.done = _thread.allocate_lock()
         self.done.acquire()
 
     def __call__(self):
@@ -153,78 +154,22 @@ class _Part:
             self.done.release()
 
 
-class _Pool:
-    # Daemon threads that run the parts put to them, first in first out;
-    # ``put`` is called on the caller's thread, whose context it copies.
-    # It starts a thread only when a pass has more parts beyond its first
-    # than the pool has threads.
-
-    def __init__(self):
-        self.parts = collections.deque()
-        self.queued = threading.Semaphore(0)
-        self.threads = 0
-
-    def grow(self, threads):
-        for i in range(self.threads, threads):
-            threading.Thread(target=self._serve, name=f"denoise1d-part-{i}", daemon=True).start()
-        self.threads = max(self.threads, threads)
-
-    def _serve(self):
-        _on_pool.thread = True
-        while True:
-            self.queued.acquire()
-            self.parts.popleft()()
-
-    def put(self, run, part):
-        job = _Part(run, part)
-        self.parts.append(job)
-        self.queued.release()
-        return job
-
-
-_pool = None
-_pool_lock = threading.Lock()
-_on_pool = threading.local()
-
-
-def _pool_of(threads):
-    # The pool, grown to at least ``threads`` threads; made on the first
-    # pass with two parts, from threading alone.  A module first imported in
-    # the middle of a run (concurrent.futures) leaves lasting allocations at
-    # the heap's top, between the long arrays, which then no longer fit the
-    # holes they leave.
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = _Pool()
-        _pool.grow(threads)
-    return _pool
-
-
-def _forget_pool():
-    # A forked child has none of its parent's pool threads, and its one
-    # thread is not one of them.
-    global _pool, _pool_lock, _on_pool
-    _pool, _pool_lock, _on_pool = None, threading.Lock(), threading.local()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _run_parts(run, parts):
-    # run(part) for each part, the first part on the calling thread and the
-    # others on the pool, each in a copy of the caller's context (numpy's
-    # errstate lives there).  Every part has ended before this returns or
-    # raises, and the first failure in part order is raised.  A pass
-    # started on a pool thread runs its parts there, one after the other,
-    # so no pool thread ever waits on the pool.
-    serial = len(parts) == 1 or getattr(_on_pool, "thread", False)
-    pool = None if serial else _pool_of(len(parts) - 1)
-    rest = [] if serial else [pool.put(run, p) for p in parts[1:]]
+    # run(part) for each part, the first on the calling thread and each
+    # other on a thread started for it, in a copy of the caller's context
+    # (numpy's errstate lives there).  Every part started has ended before
+    # this returns or raises, and the first failure in part order is raised,
+    # so a forked child or a pass started inside a part needs no rule.
+    # _thread.start_new_thread does not wait for the new thread to run, as
+    # threading.Thread.start does: that form read long-signal 1.69e8
+    # sample-steps/s against 1.75e8 on a 2-vCPU VM (10 pairs, 2 of 10 won).
+    rest = []
     try:
-        for p in parts if serial else parts[:1]:
-            run(p)
+        for p in parts[1:]:
+            part = _Part(run, p)
+            _thread.start_new_thread(part, ())
+            rest.append(part)
+        run(parts[0])
     finally:
         for part in rest:
             part.done.acquire()

@@ -81,6 +81,12 @@ class TestGenerateSignal:
         with pytest.raises(ValueError, match="finite and nonempty"):
             generate_signal("piecewise", 8, params=())
 
+    @pytest.mark.parametrize("kind", ("spike", "step", "sine"))
+    @pytest.mark.parametrize("params", ((5.0, 6.0), ()))
+    def test_params_of_a_kind_without_levels_are_rejected(self, kind, params):
+        with pytest.raises(ValueError, match=f"{kind} takes no params"):
+            generate_signal(kind, 8, params=params)
+
     @pytest.mark.parametrize("argv,err", [
         (["--kind", "step", "--levels", "5,6"], "--kind step does not read --levels"),
         (["--kind", "sine", "--levels="], "--kind sine does not read --levels"),

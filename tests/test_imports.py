@@ -2,7 +2,7 @@
 ``__all__`` (the package ``__init__``), or marked ``# noqa: F401`` for
 bench/tracing.py, which wraps it by name in that module; every private
 name a module defines is used somewhere in the package; importing the
-CLI does not load the thread pool's module; and numpy is the package's
+CLI does not load concurrent.futures; and numpy is the package's
 one third-party import, so the Tikhonov oracle runs without scipy."""
 
 import ast
@@ -107,7 +107,7 @@ def _python(code):
 
 
 def test_importing_the_cli_does_not_load_concurrent_futures():
-    # The parts of a long pass run on plain threading threads.  With a
+    # The parts of a long pass run on threads started with _thread.  With a
     # ThreadPoolExecutor, concurrent.futures was first imported in the
     # middle of a run, and its lasting allocations between the long arrays
     # pushed long-signal peak_rss_mb from 85.7 to 94.5 MiB.

@@ -312,7 +312,7 @@ class TestMemory:
         with mock.patch.object(diffusion, "_WORKERS", workers):
             assert len(diffusion._parts(self.N)) == workers
             for name, run in self._runs(f).items():
-                run()  # any lazy set-up (the pool's threads) before tracing
+                run()  # any one-time set-up before tracing
                 tracemalloc.start()
                 try:
                     out = run()

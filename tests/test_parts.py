@@ -1,14 +1,16 @@
-"""Parts of a long pass: bit for bit, with the caller's state, safe
-under fork and nesting, and only for the package's own evaluators.
+"""Parts of a long pass: bit for bit, with the caller's state, one
+thread per part beyond the first, safe under fork and nesting, and only
+for the package's own evaluators.
 
 A pass over more than ``diffusion._CHUNK`` samples runs its windows in
 up to ``diffusion._WORKERS`` contiguous parts at once, each of at least
 ``diffusion._PART_WINDOWS`` windows, when every evaluator it calls is
-one the package built.  With these constants patched small, every part
-seam and every window's halo show up in short signals.  The
-test evaluators below are marked as the package's own so that they run
-in parts.  Outputs are compared as bit patterns with the one-part pass,
-so signed zeros count.
+one the package built.  The caller's thread runs the first part, and the
+pass starts one thread for each other part and waits for all of them.
+With these constants patched small, every part seam and every window's
+halo show up in short signals.  The test evaluators below are marked as
+the package's own so that they run in parts.  Outputs are compared as
+bit patterns with the one-part pass, so signed zeros count.
 """
 
 import dataclasses
@@ -80,6 +82,11 @@ VALUES = st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=64).map(lambda v: n
 
 def _parts(workers, chunk, part_windows=1):
     return mock.patch.multiple(diffusion, _WORKERS=workers, _CHUNK=chunk, _PART_WINDOWS=part_windows)
+
+
+def _starts():
+    # Counts the part threads that the passes run inside it start; each still starts.
+    return mock.patch.object(diffusion._thread, "start_new_thread", wraps=diffusion._thread.start_new_thread)
 
 
 def _by_workers(workers, chunk, kernel):
@@ -177,26 +184,27 @@ class TestPartition:
         assert len(diffusion._parts(n - diffusion._CHUNK)) == 1
         assert len(diffusion._parts(n)) == min(diffusion._WORKERS, 2)
 
-    def test_one_worker_never_makes_the_pool(self):
+    def test_a_one_part_pass_starts_no_thread(self):
         x = np.linspace(-1.0, 1.0, 11) ** 3
         ev = ACTIVATIONS[3]
         block = ResidualBlock(w1=[0.0, -1.0, 1.0], sigma1=ev, w2=[-0.1, 0.1, 0.0])
         f, spec = Signal1D(x), EnergySpec(psi=REGULARISERS[1], alpha=0.5)
-        with mock.patch.object(diffusion, "_pool", None), _parts(1, 2):
+        with _starts() as start, _parts(1, 2):
             _flux_pass(ev, 0.1, 1.0)(x)
             _haar_pass(SHRINKAGES[3])(x)
             euler_lagrange_residual(f, f, spec)
             _apply(block, x)
-            assert diffusion._pool is None
+        assert start.call_count == 0
 
-    def test_the_pool_has_only_the_threads_a_pass_needs(self):
+    def test_a_k_part_pass_starts_k_minus_1_threads(self):
         x, ev = np.linspace(-1.0, 1.0, 16) ** 3, ACTIVATIONS[3]
-        with mock.patch.object(diffusion, "_pool", None), _parts(64, 4):
-            threads = []
+        threads = []
+        with _parts(64, 4):
             for n in (8, 16, 8):  # 2, 4 and 2 parts of one window each
-                _flux_pass(ev, 0.1, 1.0)(x[:n])
-                threads.append(diffusion._pool.threads)
-        assert threads == [1, 3, 3]
+                with _starts() as start:
+                    _flux_pass(ev, 0.1, 1.0)(x[:n])
+                threads.append(start.call_count)
+        assert threads == [1, 3, 1]
 
 
 class Marker(Exception):
@@ -269,8 +277,36 @@ class TestCallerState:
         with _parts(4, 2), pytest.raises(Marker):
             _flux_pass(picky, 0.1, 1.0)(x)
         # Each window asks for its samples and a halo of one on each side;
-        # the pool's threads end in no fixed order.
+        # the part threads end in no fixed order.
         assert sorted(ended) == [3, 4, 4]
+
+    def test_a_thread_that_cannot_start_orphans_no_part(self):
+        # Three parts: the thread for the second starts, the one for the
+        # third fails to, and the pass waits for the second before it raises.
+        caller, ended = threading.get_ident(), []
+
+        @_reentrant
+        def slow(r):
+            if threading.get_ident() != caller:
+                time.sleep(0.05)
+                ended.append(r.size)
+            return r
+
+        start, calls = diffusion._thread.start_new_thread, []
+
+        def second_fails(fn, args):
+            calls.append(fn)
+            if len(calls) == 2:
+                raise RuntimeError("can't start new thread")
+            return start(fn, args)
+
+        x = np.linspace(-1.0, 1.0, 6) ** 3
+        before = x.copy()
+        with _parts(3, 2), mock.patch.object(diffusion._thread, "start_new_thread", second_fails):
+            with pytest.raises(RuntimeError, match="can't start new thread"):
+                _flux_pass(slow, 0.1, 1.0)(x)
+        assert ended == [4]
+        assert_bit_identical(x, before)
 
 
 class TestForeignEvaluators:
@@ -366,7 +402,6 @@ class TestNoHang:
         ev = ACTIVATIONS[3]
         with _parts(2, 4):
             first = _flux_pass(ev, 0.1, 1.0)(x)
-            assert diffusion._pool is not None
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DeprecationWarning)  # forking a threaded process
                 pid = os.fork()

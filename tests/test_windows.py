@@ -258,7 +258,7 @@ class TestMemory:
         with mock.patch.object(diffusion, "_WORKERS", workers):
             assert len(diffusion._parts(self.N)) == workers
             for name, run in _passes(family).items():
-                run(x)  # any lazy set-up (the pool's threads) before tracing
+                run(x)  # any one-time set-up before tracing
                 tracemalloc.start()
                 try:
                     out = run(x)
