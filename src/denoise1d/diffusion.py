@@ -323,7 +323,10 @@ def _lipschitz(phi, f):
         r = 2.0 * max(float(_largest_magnitude(_fdiff(x[a : b + 1], f.h))) for a, b in _windows(x.size))
     if not math.isfinite(2.0 * r):  # the span of the grid on [-r, r]
         raise ValueError("the input's gradients overflow float64; rescale the signal")
-    return estimate_lipschitz(phi, r if r > 0.0 else 1.0, _LIPSCHITZ_SAMPLES)
+    L = estimate_lipschitz(phi, r if r > 0.0 else 1.0, _LIPSCHITZ_SAMPLES)
+    if L == 0.0:  # the grid saw no slope, so it bounds no step
+        raise StabilityViolation(f"{phi.provenance[0]} reads L = 0 on the input's gradient range")
+    return L
 
 
 def _check_budget(m):
@@ -369,7 +372,8 @@ def diffuse(
     gradient range of ``f``; the step count is the smallest m with
     T/m below the bound for ``mode``, and all m steps use tau = T/m.
     A plan of more than ``_STEP_BUDGET`` steps raises
-    :class:`StabilityViolation`, naming m, before any step is taken.
+    :class:`StabilityViolation`, naming m, before any step is taken, and
+    so does an estimate of L = 0, naming phi.
 
     Returns the filtered signal and the :class:`DiffusionPlan` used.
     """

@@ -19,9 +19,11 @@ into.  This module provides
 
 The evaluators built here are numpy-vectorised, pure and reentrant, and
 the step kernels call them from several threads at once, on different
-windows of a long signal.  Each closed form, and each cell that starts
-from a transform of its argument, computes into one float64 array of
-its own, bit for bit the operator form (see ``_scratch``).  Any other evaluator, a user's or a wrapper
+windows of a long signal.  Those a step kernel calls on every window
+(the activations, a closed-form ``psi' = 2 phi`` and the activation ->
+shrinkage cell) compute into one float64 array of their own, bit for bit
+the operator form (see ``_scratch``); the other formulas and cells are
+plain operator forms.  Any other evaluator, a user's or a wrapper
 around one built here, is called on the caller's thread only.
 """
 
@@ -224,15 +226,6 @@ def _where(c, x, y, o):
     return o
 
 
-def _where_square(c, r, y, o):
-    # np.where(c, r * r, y); into o, r * r only where c holds.
-    if o is None:
-        return np.where(c, r * r, y)
-    if y is not o:
-        np.copyto(o, y)
-    return np.multiply(r, r, out=o, where=c)
-
-
 def _constant_formulas(spec):
     return (
         lambda r: np.ones_like(r),
@@ -242,39 +235,29 @@ def _constant_formulas(spec):
     ), ()
 
 
-# Every formula below writes each ufunc after its first into the array
-# that one returned (see _scratch).  Its arithmetic is the operator
-# form's, operand for operand; a selection np.where(c, x, y) becomes a
-# copy of x into y where c holds (_where).
+# Only phi, which the step kernels call on every window, computes into one
+# array (see _scratch); g, psi and S, which no kernel calls on an array, are
+# operator forms.  phi keeps the operator form's operations and operands in
+# order, and np.where(c, x, y) becomes a copy of x into y where c holds (_where).
+# Kept for phi: all-operator forms read long-signal 1.634e8 -> 1.546e8 sample steps/s.
 
 
 def _charbonnier_formulas(spec):
     lam2 = spec.contrast * spec.contrast
 
-    def root(t, o):
-        # sqrt(1 + t / lam2), into o.
-        return np.sqrt(np.add(1.0, np.divide(t, lam2, out=o), out=o), out=o)
+    def g(r):
+        return 1.0 / np.sqrt(1.0 + r * r / lam2)
 
-    def g(r):  # 1 / sqrt(1 + r*r / lam2)
-        t = r * r
-        o = _scratch(t)
-        return np.divide(1.0, root(t, o), out=o)
+    def psi(r):
+        return 2.0 * lam2 * (np.sqrt(1.0 + r * r / lam2) - 1.0)
 
-    def psi(r):  # 2 lam2 (sqrt(1 + r*r / lam2) - 1)
-        t = r * r
-        o = _scratch(t)
-        return np.multiply(2.0 * lam2, np.subtract(root(t, o), 1.0, out=o), out=o)
-
-    def shrink(r):  # r (1 - 1 / sqrt(1 + 2 r*r / lam2))
-        t = 2.0 * r
-        o = _scratch(t)
-        t = np.divide(1.0, root(np.multiply(t, r, out=o), o), out=o)
-        return np.multiply(r, np.subtract(1.0, t, out=o), out=o)
+    def shrink(r):
+        return r * (1.0 - 1.0 / np.sqrt(1.0 + 2.0 * r * r / lam2))
 
     def phi(r):  # r / sqrt(1 + r*r / lam2)
         t = r * r
         o = _scratch(t)
-        return np.divide(r, root(t, o), out=o)
+        return np.divide(r, np.sqrt(np.add(1.0, np.divide(t, lam2, out=o), out=o), out=o), out=o)
 
     return (g, psi, shrink, phi), ()
 
@@ -283,26 +266,17 @@ def _truncated_tv_formulas(spec):
     th = spec.threshold
     s2t = SQRT2 * th
 
-    def g(r):  # 1 for |r| <= s2t, else s2t / |r|
+    def g(r):
         a = np.abs(r)
-        o = _scratch(a)
-        lo = a <= s2t
-        safe = _where(~(a > s2t), 1.0, a, o)
-        return _where(lo, 1.0, np.divide(s2t, safe, out=o), o)
+        return np.where(a <= s2t, 1.0, s2t / np.where(a > s2t, a, 1.0))
 
-    def psi(r):  # r*r for |r| <= s2t, else 2 th (sqrt2 |r| - th)
+    def psi(r):
         a = np.abs(r)
-        o = _scratch(a)
-        lo = a <= s2t
-        t = np.subtract(np.multiply(SQRT2, a, out=o), th, out=o)
-        return _where_square(lo, r, np.multiply(2.0 * th, t, out=o), o)
+        return np.where(a <= s2t, r * r, 2.0 * th * (SQRT2 * a - th))
 
-    def shrink(r):  # 0 for |r| <= th, else r - th sign(r)
+    def shrink(r):
         a = np.abs(r)
-        o = _scratch(a)
-        lo = a <= th
-        t = np.multiply(th, np.sign(r, out=o), out=o)
-        return _where(lo, 0.0, np.subtract(r, t, out=o), o)
+        return np.where(a <= th, 0.0, r - th * np.sign(r))
 
     def phi(r):
         # r, clamped to [-s2t, s2t]; the array's clip skips np.clip's wrapper.
@@ -315,26 +289,19 @@ def _perona_malik_formulas(spec):
     lam2 = spec.contrast * spec.contrast
 
     # -r*r / c as r*r / -c: the same bits, with no negation pass.
-    def gauss(r, c):
-        # exp(r*r / c), and the array the formula writes into.
+    def g(r):
+        return np.exp(r * r / (-2.0 * lam2))
+
+    def psi(r):
+        return 2.0 * lam2 * (1.0 - np.exp(r * r / (-2.0 * lam2)))
+
+    def shrink(r):
+        return r * (1.0 - np.exp(r * r / -lam2))
+
+    def phi(r):  # r exp(r*r / (-2 lam2))
         t = r * r
         o = _scratch(t)
-        return np.exp(np.divide(t, c, out=o), out=o), o
-
-    def g(r):
-        return gauss(r, -2.0 * lam2)[0]
-
-    def psi(r):  # 2 lam2 (1 - exp(-r*r / (2 lam2)))
-        t, o = gauss(r, -2.0 * lam2)
-        return np.multiply(2.0 * lam2, np.subtract(1.0, t, out=o), out=o)
-
-    def shrink(r):  # r (1 - exp(-r*r / lam2))
-        t, o = gauss(r, -lam2)
-        return np.multiply(r, np.subtract(1.0, t, out=o), out=o)
-
-    def phi(r):  # r exp(-r*r / (2 lam2))
-        t, o = gauss(r, -2.0 * lam2)
-        return np.multiply(r, t, out=o)
+        return np.multiply(r, np.exp(np.divide(t, -2.0 * lam2, out=o), out=o), out=o)
 
     return (g, psi, shrink, phi), ()
 
@@ -344,34 +311,23 @@ def _truncated_bfb_formulas(spec):
     th2 = th * th
     s2t = SQRT2 * th
 
-    # safe is r where |r| is past the breakpoint and 1.0 elsewhere (NaN
-    # included); copysign(|r|, r) is r, bit for bit.
-
-    def g(r):  # 1 for |r| <= s2t, else 2 th^2 / (r*r)
+    def g(r):
         a = np.abs(r)
-        o = _scratch(a)
-        lo = a <= s2t
-        t = _where(~(a > s2t), 1.0, a, o)  # |safe|, whose square is safe's
-        t = np.divide(2.0 * th2, np.multiply(t, t, out=o), out=o)
-        return _where(lo, 1.0, t, o)
+        safe = np.where(a > s2t, r, 1.0)
+        return np.where(a <= s2t, 1.0, 2.0 * th2 / (safe * safe))
 
-    def psi(r):  # r*r for |r| <= s2t, else 2 th^2 (log(r*r / (2 th^2)) + 1)
+    def psi(r):
         a = np.abs(r)
-        o = _scratch(a)
-        lo, rest = a <= s2t, ~(a > s2t)
-        t = np.divide(np.multiply(a, a, out=o), 2.0 * th2, out=o)  # a*a is r*r
-        t = np.add(np.log(_where(rest, 1.0, t, o), out=o), 1.0, out=o)
-        return _where_square(lo, r, np.multiply(2.0 * th2, t, out=o), o)
+        safe = np.where(a > s2t, r * r / (2.0 * th2), 1.0)
+        return np.where(a <= s2t, r * r, 2.0 * th2 * (np.log(safe) + 1.0))
 
-    def shrink(r):  # 0 for |r| <= th, else r - th^2 / r
+    def shrink(r):
         a = np.abs(r)
-        o = _scratch(a)
-        lo, rest = a <= th, ~(a > th)
-        safe = _where(rest, 1.0, np.copysign(a, r, out=o), o)
-        t = np.subtract(r, np.divide(th2, safe, out=o), out=o)
-        return _where(lo, 0.0, t, o)
+        safe = np.where(a > th, r, 1.0)
+        return np.where(a <= th, 0.0, r - th2 / safe)
 
     def phi(r):  # 2 th^2 / r for |r| > s2t, else r (NaN included)
+        # safe is r past s2t, 1.0 elsewhere; copysign(|r|, r) is r, bit for bit.
         a = np.abs(r)
         o = _scratch(a)
         rest = ~(a > s2t)
@@ -386,16 +342,13 @@ def _truncated_quadratic_formulas(spec):
     s2t = SQRT2 * th
 
     def g(r):
-        a = np.abs(r)
-        return _where(a <= s2t, 1.0, 0.0, _scratch(a))
+        return np.where(np.abs(r) <= s2t, 1.0, 0.0)
 
     def psi(r):
-        a = np.abs(r)
-        return _where_square(a <= s2t, r, 2.0 * th * th, _scratch(a))
+        return np.where(np.abs(r) <= s2t, r * r, 2.0 * th * th)
 
     def shrink(r):
-        a = np.abs(r)
-        return _where(a <= th, 0.0, r, _scratch(a))
+        return np.where(np.abs(r) <= th, 0.0, r)
 
     def phi(r):  # 0 for |r| > s2t, else r (NaN included)
         a = np.abs(r)
@@ -434,7 +387,8 @@ def make_role_function(spec: FamilySpec, role: Role) -> RoleFunction:
 
 
 def _doubled(phi):
-    # psi' = 2 phi, doubling phi's fresh result in place.
+    # psi' = 2 phi, doubling phi's fresh result in place; minimize_by_diffusion
+    # calls it on every window through the regulariser -> activation cell.
     def dpsi(r):
         v = phi(r)
         return np.multiply(2.0, v, out=_scratch(v))
@@ -516,21 +470,12 @@ def _ratio_with_limit(numer, r):
 
 
 def _minus_scaled(r, k, ev, t):
-    # r - k * ev(t), written into t, the cell's own transform of r, when
-    # ev's result suits it (see _scratch); never into that result.
+    # r - k * ev(t), the activation -> shrinkage cell that shrinkage steps
+    # call on every window, written into t, the cell's own transform of r,
+    # when ev's result suits it (see _scratch); never into that result.
     v = ev(t)
     o = _scratch(t, v)
     return np.subtract(r, np.multiply(k, v, out=o), out=o)
-
-
-def _times(r, w):
-    # r * w, into w, the cell's own array, when r suits it.
-    return np.multiply(r, w, out=_scratch(w, r))
-
-
-def _over(w, d):
-    # w / d, into w, the cell's own array.
-    return np.divide(w, d, out=_scratch(w))
 
 
 def _coupling(f, to, coupling):
@@ -590,10 +535,10 @@ def translate(f: RoleFunction, to: Role, coupling: CouplingParams = None) -> Rol
     D, R, S, A = Role  # one cell per (source, target) pair
     ev = {
         (D, R): lambda r: 2.0 * integral_from_zero(lambda x: e(x) * x, r, bp),
-        (D, S): lambda r: _times(r, _minus_scaled(1.0, 4.0 * c, e, SQRT2 * r)),
+        (D, S): lambda r: r * (1.0 - 4.0 * c * e(SQRT2 * r)),
         (D, A): lambda r: e(r) * r,
         (R, D): lambda r: _ratio_with_limit(dpsi, r) / 2.0,
-        (R, S): lambda r: _minus_scaled(r, SQRT2 * c, dpsi, SQRT2 * r),
+        (R, S): lambda r: r - SQRT2 * c * dpsi(SQRT2 * r),
         (R, A): lambda r: dpsi(r) * 0.5,  # halving is exact: the bits of / 2.0
         (S, D): lambda r: (
             1.0 - _ratio_with_limit(lambda x: SQRT2 * e(x / SQRT2), r)
@@ -601,7 +546,7 @@ def translate(f: RoleFunction, to: Role, coupling: CouplingParams = None) -> Rol
         (S, R): lambda r: (
             r * r - 2.0 * SQRT2 * integral_from_zero(lambda x: e(x / SQRT2), r, bp)
         ) / (4.0 * c),
-        (S, A): lambda r: _over(_minus_scaled(r, SQRT2, e, r / SQRT2), 4.0 * c),
+        (S, A): lambda r: (r - SQRT2 * e(r / SQRT2)) / (4.0 * c),
         (A, D): lambda r: _ratio_with_limit(e, r),
         (A, R): lambda r: 2.0 * integral_from_zero(e, r, bp),
         (A, S): lambda r: _minus_scaled(r, 2.0 * SQRT2 * c, e, SQRT2 * r),

@@ -661,14 +661,6 @@ class TestCsvBlocks:
         assert self.traced_peak(lambda: read_signal_csv(path)) <= 6 << 20
 
 
-class TestScipyIsLazy:
-    def test_importing_the_cli_does_not_load_scipy(self):
-        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        code = ("import sys, denoise1d, denoise1d.cli; "
-                "sys.exit('scipy' in sys.modules)")
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
-
-
 class TestGradientOverflow:
     @pytest.fixture
     def overflowing(self, tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from denoise1d import (
+    EnergySpec,
     Family,
     FamilySpec,
     Role,
@@ -20,6 +21,7 @@ from denoise1d import (
     explicit_step,
     make_role_function,
     max_stable_tau,
+    minimize_by_diffusion,
     user_role_function,
 )
 from denoise1d import diffusion
@@ -264,6 +266,30 @@ class TestWideGradientRange:
         u = diffuse(f, phi_of(family), 20.0, StepSizeMode.MAXMIN)[0].values
         assert float(np.min(u)) >= -1e-12
         assert float(np.max(u)) <= 1e5 + 1e-12
+
+    L_ZERO = "^closed-form:truncated-quadratic\\(threshold=1\\) reads L = 0 on the input's gradient range$"
+
+    def test_a_grid_that_reads_l_zero_is_a_stability_violation(self):
+        # The truncated quadratic is flat past sqrt(2), and the grid's spacing
+        # steps over its slope near 0.
+        f = Signal1D([0.0, 1e5, 0.0, 0.0, 0.1, 0.0, 0.1, 0.0])
+        psi = make_role_function(FamilySpec(Family.TRUNCATED_QUADRATIC), Role.REGULARISER)
+        with pytest.raises(StabilityViolation, match=self.L_ZERO):
+            diffuse(f, phi_of(Family.TRUNCATED_QUADRATIC), 1.0)
+        with pytest.raises(StabilityViolation, match=self.L_ZERO):
+            minimize_by_diffusion(f, EnergySpec(psi=psi, alpha=1.0), 4)
+
+    @pytest.mark.parametrize("plan", (["diffusion", "--time", "1"], ["variational", "--steps", "4"]))
+    def test_the_cli_exits_3_naming_the_family_and_writes_nothing(self, tmp_path, capsys, plan):
+        sig, out = tmp_path / "f.csv", tmp_path / "o.csv"
+        sig.write_text("0\n1e5\n0\n0\n0.1\n0\n0.1\n0\n")
+        args = ["denoise", "--method", *plan, "--family", "truncated-quadratic",
+                "--input", str(sig), "--out", str(out)]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("stability violation: closed-form:truncated-quadratic(threshold=1) reads L = 0")
+        assert not out.exists()
+        assert not (tmp_path / "o.csv.report").exists()
 
 
 class TestSharedLoop:

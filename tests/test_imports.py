@@ -3,7 +3,8 @@
 bench/tracing.py, which wraps it by name in that module; every private
 name a module defines is used somewhere in the package; importing the
 CLI does not load concurrent.futures; and numpy is the package's
-one third-party import, so the Tikhonov oracle runs without scipy."""
+one third-party import, so the CLI imports and the Tikhonov oracle
+runs without scipy."""
 
 import ast
 import importlib.util
@@ -136,7 +137,7 @@ def test_every_absolute_import_is_numpy_or_the_standard_library():
 def test_the_oracle_runs_without_scipy():
     # A None entry in sys.modules makes any import of scipy raise.
     code = ("import sys; sys.modules['scipy'] = None\n"
-            "import numpy as np, denoise1d\n"
+            "import numpy as np, denoise1d, denoise1d.cli\n"
             "u = denoise1d.tikhonov_solve_oracle(denoise1d.Signal1D([0.0, 1.0]), 0.25).values\n"
             "sys.exit(not np.allclose(u, [1 / 6, 5 / 6], rtol=0, atol=1e-12))")
     assert _python(code) == 0

@@ -1,10 +1,14 @@
-"""The closed forms and translation cells write into one array, bit for bit.
+"""The evaluators a step kernel calls write into one array, bit for bit.
 
-Every closed-form formula writes each ufunc after its first into the
-array that one returned, and the cells that start from a transform of
-their argument (activation, diffusivity and regulariser -> shrinkage,
-shrinkage -> activation) write into that transform's array.  The
-references below are the operator forms they replaced, kept verbatim.
+The six activations write each ufunc after its first into the array
+that one returned, a closed-form regulariser's psi' = 2 phi doubles
+phi's result in place, and the activation -> shrinkage cell writes into
+its transform's array: the step kernels call these on every window.
+The other closed forms and the diffusivity and regulariser ->
+shrinkage and shrinkage -> activation cells, which no step kernel calls
+on an array, are the operator forms themselves.  The references below
+are the operator forms, kept verbatim; every formula and the four
+cells named here are checked against them.
 Results are compared as bytes with their dtype and type, so signed
 zeros, NaN payloads, numpy scalars and 0-d arrays count.  The one
 intended change: the truncated-BFB and truncated-quadratic activations
@@ -362,6 +366,13 @@ class TestOneArray:
         r = np.random.default_rng(5).normal(0.0, 1.0, _CHUNK)
         phi = make_role_function(FamilySpec(family), Role.ACTIVATION).evaluator
         assert self._peak(phi, r) <= self.W + self.SLACK
+
+    @pytest.mark.parametrize("family", tuple(Family), ids=lambda f: f.value)
+    def test_a_regulariser_derivative_holds_one_window(self, family):
+        # psi' = 2 phi, which minimize_by_diffusion calls on every window.
+        r = np.random.default_rng(7).normal(0.0, 1.0, _CHUNK)
+        dpsi = make_role_function(FamilySpec(family), Role.REGULARISER).derivative
+        assert self._peak(dpsi, r) <= self.W + self.SLACK
 
     @pytest.mark.parametrize("family", tuple(Family), ids=lambda f: f.value)
     def test_an_activation_to_shrinkage_cell_holds_two_windows(self, family):
