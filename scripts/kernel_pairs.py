@@ -19,21 +19,28 @@ checkout's ``src``; the parent goes first in even pairs and the change in
 odd ones.  Pairing per kernel keeps the two runs of a pair seconds apart,
 since a shared host's speed can drift by up to 2x over tens of seconds.
 A process's time is the least of R repeats (a slow phase only ever adds
-time), divided by M: the time per step.  Prints every pair's times, then
-per kernel each side's median and quartiles, the median and quartiles of
-the paired ratios change/parent, and the number of pairs the change won.
-The last line of standard output is one JSON object with every value.
+time), divided by M: the time per step.  Each process also prints a
+digest of its kernel's final state; a kernel is identical when its two
+sides' digests agree in every pair, and any that is not is flagged.
+Prints every pair's times, then per kernel each side's median and
+quartiles, the median and quartiles of the paired ratios change/parent,
+the number of pairs the change won and whether the outputs were
+identical.  The last line of standard output is one JSON object with
+every value.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
 import subprocess
 import sys
 import time
+
+from bench_pairs import quartiles
 
 FAMILIES = ("perona-malik", "truncated-tv")
 KERNELS = ("diffuse", "iterate_shrinkage", "minimize_by_diffusion", "chain",
@@ -61,12 +68,14 @@ def _child(kernel, family, n, steps, repeats):
             u = f
             for _ in range(steps):
                 u = step(u)
+            return u
         return run
 
     def diffuse():
-        _, plan = d1.diffuse(f, phi, (steps - 0.5) * tau, d1.StepSizeMode.SIGN_STABLE)
+        u, plan = d1.diffuse(f, phi, (steps - 0.5) * tau, d1.StepSizeMode.SIGN_STABLE)
         if plan.steps != steps:
             raise SystemExit(f"diffuse planned {plan.steps} steps, not {steps}")
+        return u
 
     call = {
         "diffuse": diffuse,
@@ -77,17 +86,18 @@ def _child(kernel, family, n, steps, repeats):
         "shift_invariant_step": repeat(lambda u: d1.shift_invariant_step(u, shrink)),
         "apply_block": repeat(lambda u: d1.apply_block(block, u)),
     }[kernel]
-    call()  # any one-time set-up before timing
+    digest = hashlib.sha256(call().values.tobytes()).hexdigest()  # also any one-time set-up before timing
     runs = []
     for _ in range(repeats):
         start = time.perf_counter()
         call()
         runs.append(time.perf_counter() - start)
-    print(min(runs) / steps * 1e6)
+    print(min(runs) / steps * 1e6, digest)
 
 
 def run_once(checkout, kernel, family, n, steps, repeats):
-    """Per-step microseconds of one kernel, from one fresh process."""
+    """Per-step microseconds of one kernel and the digest of its final
+    state, from one fresh process."""
     code = ("import sys; sys.path.insert(0, sys.argv[1]); sys.path.insert(0, sys.argv[2]); "
             "import kernel_pairs; kernel_pairs._child(sys.argv[3], sys.argv[4], *map(int, sys.argv[5:]))")
     cmd = [sys.executable, "-c", code, os.path.join(checkout, "src"), os.path.dirname(os.path.abspath(__file__)),
@@ -95,14 +105,8 @@ def run_once(checkout, kernel, family, n, steps, repeats):
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"{checkout}: exited {done.returncode}: {done.stderr.strip()[-400:]}")
-    return float(done.stdout.strip().splitlines()[-1])
-
-
-def quartiles(xs):
-    if len(xs) < 2:
-        return xs[0], xs[0]
-    q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return q1, q3
+    us, digest = done.stdout.strip().splitlines()[-1].split()
+    return float(us), digest
 
 
 def main():
@@ -120,15 +124,18 @@ def main():
     keys = [(kernel, family) for family in FAMILIES for kernel in KERNELS]
 
     runs = {"parent": [], "change": []}
+    digests = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         times = {"parent": {}, "change": {}}
+        outs = {"parent": {}, "change": {}}
         for kernel, family in keys:
             for side in order:
-                times[side][f"{kernel}/{family}"] = run_once(dirs[side], kernel, family, args.n, args.steps,
-                                                             args.repeats)
+                times[side][f"{kernel}/{family}"], outs[side][f"{kernel}/{family}"] = run_once(
+                    dirs[side], kernel, family, args.n, args.steps, args.repeats)
         for side in runs:
             runs[side].append(times[side])
+            digests[side].append(outs[side])
         print(f"pair {i + 1} ({order[0]} first): " + "  ".join(
             f"{k} {times['parent'][k]:.4g} -> {times['change'][k]:.4g}" for k in times["parent"]), flush=True)
 
@@ -141,14 +148,16 @@ def main():
              "parent": dict(zip(("median", "q1", "q3"), (statistics.median(parent), *quartiles(parent)))),
              "change": dict(zip(("median", "q1", "q3"), (statistics.median(change), *quartiles(change)))),
              "ratio": dict(zip(("median", "q1", "q3"), (statistics.median(ratios), *quartiles(ratios)))),
-             "wins": sum(c < p for p, c in zip(parent, change)), "pairs": len(parent)}
+             "wins": sum(c < p for p, c in zip(parent, change)), "pairs": len(parent),
+             "identical": all(p[key] == c[key] for p, c in zip(digests["parent"], digests["change"]))}
         summary.append(s)
         p, c, r = s["parent"], s["change"], s["ratio"]
         print(f"{key}: parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]"
               f"  change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] us/step"
-              f"  ratio {r['median']:.3f} [{r['q1']:.3f}, {r['q3']:.3f}]  change won {s['wins']}/{s['pairs']}")
+              f"  ratio {r['median']:.3f} [{r['q1']:.3f}, {r['q3']:.3f}]  change won {s['wins']}/{s['pairs']}"
+              f"{'' if s['identical'] else '  OUTPUTS DIFFER'}")
     print(json.dumps({"n": args.n, "steps": args.steps, "repeats": args.repeats, "runs": runs,
-                      "summary": summary}), flush=True)
+                      "digests": digests, "summary": summary}), flush=True)
 
 
 if __name__ == "__main__":

@@ -135,23 +135,14 @@ def _parts(n, *evaluators):
     return [w[i * len(w) // k : (i + 1) * len(w) // k] for i in range(k)]
 
 
-class _Part:
-    # run(part) in a copy of the caller's context, on a thread of its own.
-    # ``done`` is held until the part has ended.
-
-    def __init__(self, run, part):
-        self.context, self.run, self.part = contextvars.copy_context(), run, part
-        self.error = None
-        self.done = _thread.allocate_lock()
-        self.done.acquire()
-
-    def __call__(self):
-        try:
-            self.context.run(self.run, self.part)
-        except BaseException as exc:  # raised by the caller, in part order
-            self.error = exc
-        finally:
-            self.done.release()
+def _part(run, part, done, failed):
+    # run(part) on a thread of its own; ``done`` is held until the part ends.
+    try:
+        run(part)
+    except BaseException as exc:
+        failed.append(exc)
+    finally:
+        done.release()
 
 
 def _run_parts(run, parts):
@@ -166,16 +157,17 @@ def _run_parts(run, parts):
     rest = []
     try:
         for p in parts[1:]:
-            part = _Part(run, p)
-            _thread.start_new_thread(part, ())
-            rest.append(part)
+            done, failed = _thread.allocate_lock(), []
+            done.acquire()
+            _thread.start_new_thread(contextvars.copy_context().run, (_part, run, p, done, failed))
+            rest.append((done, failed))
         run(parts[0])
     finally:
-        for part in rest:
-            part.done.acquire()
-    for part in rest:
-        if part.error is not None:
-            raise part.error
+        for done, _ in rest:
+            done.acquire()
+    for _, failed in rest:
+        if failed:
+            raise failed[0]
 
 
 def _windowed(x, step, *evaluators, out=None):
@@ -377,6 +369,8 @@ def diffuse(
 
     Returns the filtered signal and the :class:`DiffusionPlan` used.
     """
+    if phi.role is not Role.ACTIVATION:
+        raise ValueError("diffuse expects an activation function")
     _, tau, m = _schedule(f, phi, T, mode)
     plan = DiffusionPlan(phi=phi, tau=tau, steps=m, h=f.h, stopping_time=m * tau)
     return _last(_states(f.values, phi, tau, m, f.h), f), plan

@@ -110,8 +110,9 @@ class CouplingParams:
 
     Translations between shrinkage and the other roles involve the time
     step ``tau``; translations between shrinkage and regularisers
-    involve the weight ``alpha``.  A chain that consumes both must use
-    equal values (enforced by :func:`translate`).
+    involve the weight ``alpha``, and all of them require ``h = 1``,
+    the grid of the Haar pairing.  A chain that consumes both constants
+    must use equal values.  :func:`translate` enforces both rules.
     """
 
     tau: float = 0.25
@@ -489,10 +490,11 @@ def _coupling(f, to, coupling):
     name = "alpha" if Role.REGULARISER in ends else "tau"
     if coupling is None:
         raise ValueError(f"translation requires coupling.{name}")
+    if coupling.h != 1.0:
+        raise ValueError(f"a translation into or out of shrinkage requires h = 1, got h = {coupling.h!r}")
     value = getattr(coupling, name)
-    other = "alpha" if name == "tau" else "tau"
-    for prev_name, prev_value in f.constants:
-        if prev_name == other and prev_value != value:
+    for prev_name, prev_value in f.constants:  # only tau and alpha are consumed
+        if prev_name != name and prev_value != value:
             raise ValueError(
                 f"translation chain mixes {prev_name}={prev_value!r} with "
                 f"{name}={value!r}; the step and regularisation constants "
@@ -508,8 +510,8 @@ def translate(f: RoleFunction, to: Role, coupling: CouplingParams = None) -> Rol
     Three rules hold for every cell:
 
     * a cell between regulariser and shrinkage consumes ``alpha``, any
-      other cell that touches shrinkage consumes ``tau``, and the rest
-      consume no constant; a chain may not mix unequal tau and alpha;
+      other cell that touches shrinkage ``tau``, both at h = 1, and the
+      rest no constant; a chain may not mix unequal tau and alpha;
     * breakpoints are divided by sqrt(2) into shrinkage, multiplied by
       sqrt(2) out of it, and kept otherwise;
     * ``psi'`` is the regulariser's own derivative (``2 phi`` for the

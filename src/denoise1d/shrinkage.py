@@ -53,10 +53,9 @@ def shrink_pair(a: float, b: float, shrink: RoleFunction):
     """Analyse the pair, shrink the wavelet coefficient, synthesise back."""
     if shrink.role is not Role.SHRINKAGE:
         raise ValueError("shrink_pair expects a shrinkage function")
-    s = (a + b) / SQRT2
-    w = (b - a) / SQRT2
-    sw = float(shrink(w))
-    return (s - sw) / SQRT2, (s + sw) / SQRT2
+    pair = HaarPair.from_samples(a, b)
+    sw = float(shrink(pair.wavelet))
+    return (pair.scaling - sw) / SQRT2, (pair.scaling + sw) / SQRT2
 
 
 # u + div(fd)/4: the flux update of phi(r) = r at tau 1/4.
@@ -77,15 +76,10 @@ def _haar_update(x, fd, s, keep, out, div):
     out += e[keep]
 
 
-def _haar_interface(ev):
-    # S once per interface, on fd/sqrt2; S(0), its last value, is the wall's.
-    # Reentrant when ev is.
-    return _reentrant_if(lambda fd: ev(fd / SQRT2), ev)
-
-
 def _haar_pass(ev):
-    # The shrinkage step as an array -> array step of one run.
-    return _interface_pass(1.0, _haar_interface(ev), _haar_update)
+    # The shrinkage step as a step of one run: S once per interface, on
+    # fd/sqrt2 (S(0), its last value, is the wall's), reentrant when ev is.
+    return _interface_pass(1.0, _reentrant_if(lambda fd: ev(fd / SQRT2), ev), _haar_update)
 
 
 def _require_unit_grid(h):

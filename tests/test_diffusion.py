@@ -131,6 +131,17 @@ class TestDiffuse:
         f = Signal1D([1.0, 2.0, 0.5])
         assert diffuse(f, phi_of(Family.PERONA_MALIK), 0)[0] is f
 
+    @pytest.mark.parametrize("role", (Role.DIFFUSIVITY, Role.REGULARISER, Role.SHRINKAGE))
+    def test_a_role_other_than_activation_is_named_by_diffuse(self, role):
+        # Checked before the stopping time and the Lipschitz grid, which
+        # would name themselves.
+        f = Signal1D([0.0, 1.0, 0.5, 0.25])
+        fn = make_role_function(FamilySpec(Family.PERONA_MALIK), role)
+        with pytest.raises(ValueError, match="^diffuse expects an activation function$"):
+            diffuse(f, fn, 1.0)
+        with pytest.raises(ValueError, match="^diffuse expects an activation function$"):
+            diffuse(f, fn, -1.0)
+
     def test_time_whose_step_count_overflows_is_rejected(self):
         f = Signal1D([0.0, 1.0, 0.5, 0.25])
         with pytest.raises(ValueError, match=r"^stopping time 1e\+308 needs a step count"):

@@ -318,6 +318,7 @@ class TestDictionaryRules:
         if src is dst or Role.SHRINKAGE not in ends:
             assert out.constants == ()
             assert out.breakpoints == f.breakpoints
+            assert translate(f, dst, CouplingParams(h=0.5)).constants == ()  # no constant read, no grid
             return
         name = "alpha" if Role.REGULARISER in ends else "tau"
         assert out.constants == ((name, 0.5 if name == "alpha" else 0.25),)
@@ -325,6 +326,9 @@ class TestDictionaryRules:
         assert out.breakpoints == tuple(map(scale, f.breakpoints))
         with pytest.raises(ValueError, match=f"^translation requires coupling.{name}$"):
             translate(f, dst)
+        # The six shrinkage cells are derived for the Haar pairing at h = 1.
+        with pytest.raises(ValueError, match=r"^a translation into or out of shrinkage requires h = 1, got h = 0\.5$"):
+            translate(f, dst, CouplingParams(tau=0.25, alpha=0.5, h=0.5))
 
 
 # The formulas as they were before they took their cheapest exact form,
